@@ -4,8 +4,9 @@
 //
 // Compares Hunt–McIlroy (the prototype's algorithm), Myers O(ND)
 // (Miller–Myers), and Tichy block-move on CPU time and delta size across
-// edit patterns. google-benchmark binary; delta sizes are attached as
-// counters, and a summary table prints at exit.
+// edit patterns, plus the cost of applying an ed script on the receiving
+// side. google-benchmark binary; delta sizes are attached as counters,
+// and a summary table prints at exit.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -88,6 +89,22 @@ void BM_Tichy_BlockMove(benchmark::State& s) {
   run_algo(s, Algorithm::kBlockMove, block_moved());
 }
 
+// The receiving side: the server rebuilding the target from its cached
+// base (verify base CRC, replay the ed script, verify target CRC).
+void run_apply(benchmark::State& state, const std::string& target) {
+  const std::string base = base_file();
+  const Delta d = Delta::compute(base, target, Algorithm::kHuntMcIlroy);
+  for (auto _ : state) {
+    auto rebuilt = d.apply(base);
+    benchmark::DoNotOptimize(rebuilt);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kFileSize));
+}
+
+void BM_ApplyEd_1pct(benchmark::State& s) { run_apply(s, scattered(1)); }
+void BM_ApplyEd_10pct(benchmark::State& s) { run_apply(s, scattered(10)); }
+
 BENCHMARK(BM_HuntMcIlroy_1pct);
 BENCHMARK(BM_HuntMcIlroy_10pct);
 BENCHMARK(BM_HuntMcIlroy_50pct);
@@ -100,6 +117,8 @@ BENCHMARK(BM_Tichy_1pct);
 BENCHMARK(BM_Tichy_10pct);
 BENCHMARK(BM_Tichy_50pct);
 BENCHMARK(BM_Tichy_BlockMove);
+BENCHMARK(BM_ApplyEd_1pct);
+BENCHMARK(BM_ApplyEd_10pct);
 
 void print_size_table() {
   std::printf("\n=== Delta sizes (bytes) on a %zu-byte file ===\n",

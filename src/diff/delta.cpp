@@ -234,6 +234,16 @@ Result<std::string> Delta::apply(const std::string& base) const {
   return applied;
 }
 
+u32 Delta::target_crc() const {
+  switch (format) {
+    case Format::kFull: return full_crc;
+    case Format::kEdScript: return ed.new_crc;
+    case Format::kBlockMove: return blocks.target_crc;
+    case Format::kCdc: return cdc.target_crc;
+  }
+  return 0;
+}
+
 std::size_t Delta::wire_size() const {
   BufWriter w;
   encode(w);

@@ -73,6 +73,11 @@ struct Delta {
   /// Reconstruct the target. `base` is ignored for kFull.
   Result<std::string> apply(const std::string& base) const;
 
+  /// CRC-32 of the content apply() reconstructs. A successful apply() has
+  /// already checked its result against this value, so the caller can use
+  /// it as the content's fingerprint instead of hashing the bytes again.
+  u32 target_crc() const;
+
   /// True when applying requires the base content. An all-literal CDC
   /// delta (first transfer) applies against anything, including no base.
   bool needs_base() const {

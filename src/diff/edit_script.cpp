@@ -97,9 +97,120 @@ EditScript build_ed_script(std::string_view old_text,
 }
 
 namespace {
+
 // Core command replay, shared by apply_ed_script and the text parser.
-Status apply_commands(std::vector<std::string>& lines,
-                      const std::vector<EdCommand>& commands);
+//
+// Commands run in script order (descending line1) with ed's sequential
+// semantics: each one addresses the buffer its predecessors left. Because
+// line1 strictly descends, that buffer is always an untouched base prefix
+// followed by a "tail" the earlier commands produced. The tail is kept as
+// a short list of runs (base line ranges and command text ranges), so no
+// line is copied until one pass appends the prefix and every run into a
+// single reserved output string.
+struct Replayed {
+  std::string text;
+  u64 line_count = 0;  // as ed counts: base lines kept + text entries
+};
+
+Result<Replayed> replay_commands(std::string_view base,
+                                 std::span<const std::string_view> base_lines,
+                                 const std::vector<EdCommand>& commands) {
+  // Tail entries base_lines[first, last) when `cmd` is null, else
+  // cmd->text[first, last). Stored back to front: tail.back() is the run
+  // right after the prefix, so prepending is push_back.
+  struct Run {
+    const EdCommand* cmd = nullptr;
+    std::size_t first = 0;
+    std::size_t last = 0;
+  };
+  std::vector<Run> tail;
+  u64 tail_lines = 0;
+  u64 prefix = base_lines.size();  // untouched leading base lines
+
+  u64 prev_line1 = static_cast<u64>(base_lines.size()) + 2;
+  for (const auto& cmd : commands) {
+    // Commands must be strictly descending and within bounds.
+    if (cmd.line1 >= prev_line1) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "ed commands not in descending order"};
+    }
+    prev_line1 = cmd.line1 == 0 ? 1 : cmd.line1;
+    const u64 buffer_lines = prefix + tail_lines;
+    // Once the checks pass, descending order puts line1 inside the
+    // prefix. Prefix lines from `keep_from` on survive the command and
+    // move to the front of the tail.
+    u64 keep_from = 0;
+    if (cmd.kind == EdCommand::Kind::kAppend) {
+      if (cmd.line1 > buffer_lines) {
+        return Error{ErrorCode::kInvalidArgument,
+                     "append position out of range"};
+      }
+      keep_from = cmd.line1;
+    } else {
+      if (cmd.line1 < 1 || cmd.line2 < cmd.line1 ||
+          cmd.line2 > buffer_lines) {
+        return Error{ErrorCode::kInvalidArgument,
+                     "command range out of bounds"};
+      }
+      // A range reaching past the prefix also removes entries an earlier
+      // command produced, from the front of the tail.
+      u64 drop = cmd.line2 > prefix ? cmd.line2 - prefix : 0;
+      while (drop > 0) {
+        Run& front = tail.back();
+        const u64 n = front.last - front.first;
+        if (n > drop) {
+          front.first += static_cast<std::size_t>(drop);
+          tail_lines -= drop;
+          break;
+        }
+        tail.pop_back();
+        tail_lines -= n;
+        drop -= n;
+      }
+      keep_from = std::min(cmd.line2, prefix);
+    }
+    if (keep_from < prefix) {
+      tail.push_back(Run{nullptr, static_cast<std::size_t>(keep_from),
+                         static_cast<std::size_t>(prefix)});
+      tail_lines += prefix - keep_from;
+    }
+    // A delete ignores any text it carries, as ed does.
+    if (cmd.kind != EdCommand::Kind::kDelete && !cmd.text.empty()) {
+      tail.push_back(Run{&cmd, 0, cmd.text.size()});
+      tail_lines += cmd.text.size();
+    }
+    prefix = cmd.kind == EdCommand::Kind::kAppend ? cmd.line1 : cmd.line1 - 1;
+  }
+
+  // Byte offset of base line i (base.size() past the last line).
+  auto offset = [&](std::size_t i) {
+    return i < base_lines.size()
+               ? static_cast<std::size_t>(base_lines[i].data() - base.data())
+               : base.size();
+  };
+  // Feeds the prefix and then every tail run, in output order, to `sink`.
+  auto for_each_piece = [&](auto&& sink) {
+    sink(base.substr(0, offset(static_cast<std::size_t>(prefix))));
+    for (auto run = tail.rbegin(); run != tail.rend(); ++run) {
+      if (run->cmd == nullptr) {
+        const std::size_t from = offset(run->first);
+        sink(base.substr(from, offset(run->last) - from));
+        continue;
+      }
+      for (std::size_t j = run->first; j < run->last; ++j) {
+        sink(std::string_view(run->cmd->text[j]));
+      }
+    }
+  };
+  std::size_t total = 0;
+  for_each_piece([&](std::string_view piece) { total += piece.size(); });
+  Replayed out;
+  out.line_count = prefix + tail_lines;
+  out.text.reserve(total);
+  for_each_piece([&](std::string_view piece) { out.text.append(piece); });
+  return out;
+}
+
 }  // namespace
 
 Result<std::string> apply_ed_script(const std::string& base,
@@ -111,69 +222,22 @@ Result<std::string> apply_ed_script(const std::string& base,
                  "base content does not match script's old CRC"};
   }
 
-  auto lines = split_lines(base);
-  if (lines.size() != script.old_line_count) {
+  const auto base_lines = split_line_views(base);
+  if (base_lines.size() != script.old_line_count) {
     return Error{ErrorCode::kVersionMismatch,
                  "base line count does not match script"};
   }
-  SHADOW_TRY(apply_commands(lines, script.commands));
+  SHADOW_ASSIGN_OR_RETURN(replayed,
+                          replay_commands(base, base_lines, script.commands));
 
-  std::string result = join_lines(lines);
-  const u32 result_crc =
-      crc32(reinterpret_cast<const u8*>(result.data()), result.size());
+  const u32 result_crc = crc32(
+      reinterpret_cast<const u8*>(replayed.text.data()), replayed.text.size());
   if (result_crc != script.new_crc) {
     return Error{ErrorCode::kInternal,
                  "reconstructed content fails target CRC check"};
   }
-  return result;
+  return std::move(replayed.text);
 }
-
-namespace {
-Status apply_commands(std::vector<std::string>& lines,
-                      const std::vector<EdCommand>& commands) {
-  u64 prev_line1 = static_cast<u64>(lines.size()) + 2;
-  for (const auto& cmd : commands) {
-    // Commands must be strictly descending and within bounds.
-    if (cmd.line1 >= prev_line1) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "ed commands not in descending order"};
-    }
-    prev_line1 = cmd.line1 == 0 ? 1 : cmd.line1;
-    switch (cmd.kind) {
-      case EdCommand::Kind::kAppend: {
-        if (cmd.line1 > lines.size()) {
-          return Error{ErrorCode::kInvalidArgument,
-                       "append position out of range"};
-        }
-        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(cmd.line1),
-                     cmd.text.begin(), cmd.text.end());
-        break;
-      }
-      case EdCommand::Kind::kChange:
-      case EdCommand::Kind::kDelete: {
-        if (cmd.line1 < 1 || cmd.line2 < cmd.line1 ||
-            cmd.line2 > lines.size()) {
-          return Error{ErrorCode::kInvalidArgument,
-                       "command range out of bounds"};
-        }
-        const auto first =
-            lines.begin() + static_cast<std::ptrdiff_t>(cmd.line1 - 1);
-        const auto last =
-            lines.begin() + static_cast<std::ptrdiff_t>(cmd.line2);
-        if (cmd.kind == EdCommand::Kind::kDelete) {
-          lines.erase(first, last);
-        } else {
-          // Replace the range. erase+insert keeps it simple and correct.
-          auto pos = lines.erase(first, last);
-          lines.insert(pos, cmd.text.begin(), cmd.text.end());
-        }
-        break;
-      }
-    }
-  }
-  return Status();
-}
-}  // namespace
 
 void encode_ed_script(const EditScript& script, BufWriter& out) {
   out.put_u32(script.old_crc);
@@ -275,7 +339,8 @@ std::string ed_script_to_text(const EditScript& script) {
 Result<EditScript> parse_ed_script_text(const std::string& script_text,
                                         const std::string& base) {
   EditScript script;
-  script.old_line_count = count_lines(base);
+  const auto base_lines = split_line_views(base);
+  script.old_line_count = base_lines.size();
   script.old_crc =
       crc32(reinterpret_cast<const u8*>(base.data()), base.size());
 
@@ -354,12 +419,11 @@ Result<EditScript> parse_ed_script_text(const std::string& script_text,
   }
 
   // Derive the target fingerprint by replaying onto the base.
-  auto lines = split_lines(base);
-  SHADOW_TRY(apply_commands(lines, script.commands));
-  const std::string result = join_lines(lines);
-  script.new_line_count = lines.size();
-  script.new_crc =
-      crc32(reinterpret_cast<const u8*>(result.data()), result.size());
+  SHADOW_ASSIGN_OR_RETURN(replayed,
+                          replay_commands(base, base_lines, script.commands));
+  script.new_line_count = replayed.line_count;
+  script.new_crc = crc32(reinterpret_cast<const u8*>(replayed.text.data()),
+                         replayed.text.size());
   return script;
 }
 

@@ -1,19 +1,39 @@
 #include "diff/line_table.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "util/text.hpp"
 
 namespace shadow::diff {
 
 namespace {
 
-// FNV-1a over the line bytes. Full comparison confirms every probe hit, so
-// collision quality only affects speed, not correctness.
+// Word-at-a-time multiply-mix: each 8-byte word (the last one
+// zero-padded) is xored in, multiplied by a 64-bit odd constant and
+// rotated so its high bits reach the next product; a murmur3-style
+// finalizer folds the high half into the low bits the probe mask keeps.
+// The length seeds the state, so a zero-padded tail cannot alias a line
+// that really ends in NUL bytes. Full comparison confirms every probe
+// hit, so collision quality only affects speed, not correctness.
 u64 line_hash(std::string_view line) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (char c : line) {
-    h ^= static_cast<u8>(c);
-    h *= 0x100000001b3ULL;
+  constexpr u64 kMul = 0x9E3779B97F4A7C15ULL;
+  const char* p = line.data();
+  std::size_t n = line.size();
+  u64 h = static_cast<u64>(n) * kMul;
+  for (; n >= 8; p += 8, n -= 8) {
+    u64 w = 0;
+    std::memcpy(&w, p, 8);
+    h = std::rotl((h ^ w) * kMul, 31);
   }
+  if (n > 0) {
+    u64 w = 0;
+    std::memcpy(&w, p, n);
+    h = std::rotl((h ^ w) * kMul, 31);
+  }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
   return h;
 }
 

@@ -6,6 +6,9 @@
 //
 // Zero-copy: tokenization produces string_views into the caller's buffers
 // and interning hashes those views directly — file content is never copied.
+// The interner hashes eight bytes per step (line_table.cpp); ids are dense
+// in first-seen order, so the hash function never changes an LCS or an
+// ed script, only how fast the table is built.
 // LIFETIME CONTRACT: the old/new text buffers passed to the constructor
 // must outlive the LineTable and any string_view obtained from old_lines()
 // / new_lines(). Ed-script construction materializes owning strings only at

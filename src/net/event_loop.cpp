@@ -119,15 +119,19 @@ std::size_t EventLoop::run_once(int timeout_ms) {
   }
 
   // Reap closed connections after dispatch so the final frames of a
-  // closing peer are still delivered.
+  // closing peer are still delivered. The counts are published before the
+  // detach callback runs, so a thread the callback wakes already sees the
+  // connection gone.
   for (auto it = owned_.begin(); it != owned_.end();) {
-    if ((*it)->closed()) {
-      if (on_detach_) on_detach_(it->get());
-      it = owned_.erase(it);
-      closed_total_.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    if (!(*it)->closed()) {
       ++it;
+      continue;
     }
+    const std::unique_ptr<TcpTransport> gone = std::move(*it);
+    it = owned_.erase(it);
+    closed_total_.fetch_add(1, std::memory_order_relaxed);
+    connections_gauge_.store(owned_.size(), std::memory_order_relaxed);
+    if (on_detach_) on_detach_(gone.get());
   }
   connections_gauge_.store(owned_.size(), std::memory_order_relaxed);
 

@@ -5,7 +5,6 @@
 
 #include "proto/admin.hpp"
 #include "telemetry/registry.hpp"
-#include "util/crc32.hpp"
 #include "util/logging.hpp"
 #include "vfs/path.hpp"
 
@@ -890,8 +889,9 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
     content = std::move(verified).take();
   }
 
-  const u32 content_crc =
-      crc32(reinterpret_cast<const u8*>(content.data()), content.size());
+  // apply() verified `content` against the delta's target CRC; reuse it
+  // rather than hashing the file a third time on this hop.
+  const u32 content_crc = delta.value().target_crc();
   // The notify for this exact version told us its CRC. A mismatch means
   // the payload was damaged in flight yet still decoded (bit flips inside
   // the delta text): nack so the client resends full — never cache bad

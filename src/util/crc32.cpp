@@ -1,34 +1,68 @@
 #include "util/crc32.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
 #include <utility>
 
 namespace shadow {
 
 namespace {
-std::array<u32, 256> make_table() {
-  std::array<u32, 256> table{};
+
+constexpr u32 kPoly = 0xEDB88320u;  // IEEE 802.3, reflected
+
+// kTables[0] is the classic byte table. kTables[k][b] is the CRC state
+// after feeding byte b followed by k zero bytes, so one 8-byte word is
+// folded with eight independent lookups instead of eight dependent steps.
+using SliceTables = std::array<std::array<u32, 256>, 8>;
+
+constexpr SliceTables make_tables() {
+  SliceTables t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    }
-    table[i] = c;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? kPoly ^ (c >> 1) : (c >> 1);
+    t[0][i] = c;
   }
-  return table;
-}
-
-const std::array<u32, 256>& table() {
-  static const std::array<u32, 256> t = make_table();
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (u32 i = 0; i < 256; ++i) {
+      const u32 prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
   return t;
 }
+
+constexpr SliceTables kTables = make_tables();
+
+// Little-endian load: the reflected CRC consumes the lowest-addressed
+// byte first, whatever the host byte order.
+u32 load_le32(const u8* p) {
+  u32 v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) |
+        (v << 24);
+  }
+  return v;
+}
+
 }  // namespace
 
 void Crc32::update(const u8* data, std::size_t len) {
-  const auto& t = table();
-  for (std::size_t i = 0; i < len; ++i) {
-    state_ = t[(state_ ^ data[i]) & 0xFFu] ^ (state_ >> 8);
+  const auto& t = kTables;
+  u32 crc = state_;
+  while (len >= 8) {
+    const u32 lo = load_le32(data) ^ crc;
+    const u32 hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+    data += 8;
+    len -= 8;
   }
+  while (len-- > 0) crc = t[0][(crc ^ *data++) & 0xFFu] ^ (crc >> 8);
+  state_ = crc;
 }
 
 u32 crc32(const u8* data, std::size_t len) {
@@ -67,7 +101,7 @@ u32 crc32_combine(u32 crc_a, u32 crc_b, u64 len_b) {
   // Operator for one zero BIT: the CRC shift with the reflected polynomial
   // folded in when the low bit falls off.
   CrcMatrix odd{};
-  odd[0] = 0xEDB88320u;
+  odd[0] = kPoly;
   for (int i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
   // Squaring doubles the zero-length an operator appends.
   CrcMatrix even = gf2_square(odd);   // 2 bits

@@ -6,6 +6,8 @@
 #include <cstdlib>
 
 #include "diff/diff.hpp"
+#include "util/crc32.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/text.hpp"
 
@@ -271,6 +273,225 @@ TEST(EdTextParseTest, InteropWithRealDiffDashE) {
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string() << "\nscript:\n"
                            << script_text;
   EXPECT_EQ(apply_ed_script(old_text, parsed.value()).value(), new_text);
+}
+
+// ---- Replay parity ----
+//
+// apply_ed_script replays into one output string without materializing
+// the base's lines. These tests pin its behaviour, success and error code
+// alike, to ed's sequential vector-of-lines replay, kept here as the
+// reference.
+
+// The reference replay up to, not including, the target CRC check.
+struct Reference {
+  std::string text;
+  u64 line_count = 0;
+};
+
+Result<Reference> sequential_reference(const std::string& base,
+                                       const EditScript& script) {
+  if (crc32(reinterpret_cast<const u8*>(base.data()), base.size()) !=
+      script.old_crc) {
+    return Error{ErrorCode::kVersionMismatch, "stale base"};
+  }
+  std::vector<std::string> lines = split_lines(base);
+  if (lines.size() != script.old_line_count) {
+    return Error{ErrorCode::kVersionMismatch, "line count"};
+  }
+  u64 prev_line1 = static_cast<u64>(lines.size()) + 2;
+  for (const auto& cmd : script.commands) {
+    if (cmd.line1 >= prev_line1) {
+      return Error{ErrorCode::kInvalidArgument, "order"};
+    }
+    prev_line1 = cmd.line1 == 0 ? 1 : cmd.line1;
+    if (cmd.kind == EdCommand::Kind::kAppend) {
+      if (cmd.line1 > lines.size()) {
+        return Error{ErrorCode::kInvalidArgument, "append range"};
+      }
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(cmd.line1),
+                   cmd.text.begin(), cmd.text.end());
+      continue;
+    }
+    if (cmd.line1 < 1 || cmd.line2 < cmd.line1 || cmd.line2 > lines.size()) {
+      return Error{ErrorCode::kInvalidArgument, "range"};
+    }
+    auto pos = lines.erase(
+        lines.begin() + static_cast<std::ptrdiff_t>(cmd.line1 - 1),
+        lines.begin() + static_cast<std::ptrdiff_t>(cmd.line2));
+    if (cmd.kind == EdCommand::Kind::kChange) {
+      lines.insert(pos, cmd.text.begin(), cmd.text.end());
+    }
+  }
+  return Reference{join_lines(lines), lines.size()};
+}
+
+u32 crc_of(const std::string& s) {
+  return crc32(reinterpret_cast<const u8*>(s.data()), s.size());
+}
+
+TEST(EdApplyParityTest, MalformedScriptsKeepTheirErrorCodes) {
+  const std::string base = "1\n2\n3\n4\n5\n";
+  const EditScript good = script_between(base, "1\nX\n3\n4\nY\nZ\n");
+  ASSERT_EQ(good.commands.size(), 2u);
+  ASSERT_TRUE(apply_ed_script(base, good).ok());
+
+  struct Case {
+    const char* what;
+    EditScript script;
+    ErrorCode code;
+  };
+  std::vector<Case> cases;
+  {
+    EditScript s = good;
+    std::swap(s.commands[0], s.commands[1]);
+    cases.push_back({"ascending order", s, ErrorCode::kInvalidArgument});
+  }
+  {
+    EditScript s = good;
+    s.commands[1].line1 = s.commands[0].line1;
+    cases.push_back({"repeated line1", s, ErrorCode::kInvalidArgument});
+  }
+  {
+    EditScript s = good;
+    s.commands[0].line2 = 6;
+    cases.push_back({"range past end", s, ErrorCode::kInvalidArgument});
+  }
+  {
+    EditScript s = good;
+    s.commands[1].line1 = 0;
+    s.commands[1].line2 = 0;
+    cases.push_back({"change at line 0", s, ErrorCode::kInvalidArgument});
+  }
+  {
+    EditScript s = good;
+    s.commands[1].line2 = s.commands[1].line1 - 1;
+    cases.push_back({"line2 before line1", s, ErrorCode::kInvalidArgument});
+  }
+  {
+    EditScript s = good;
+    EdCommand append;
+    append.kind = EdCommand::Kind::kAppend;
+    append.line1 = 6;
+    append.text = {"tail\n"};
+    s.commands.insert(s.commands.begin(), append);
+    cases.push_back({"append past end", s, ErrorCode::kInvalidArgument});
+  }
+  {
+    EditScript s = good;
+    s.old_line_count = 4;
+    cases.push_back({"wrong old_line_count", s, ErrorCode::kVersionMismatch});
+  }
+  {
+    EditScript s = good;
+    s.old_crc ^= 1;
+    cases.push_back({"stale base crc", s, ErrorCode::kVersionMismatch});
+  }
+  {
+    EditScript s = good;
+    s.new_crc ^= 1;
+    cases.push_back({"bad target crc", s, ErrorCode::kInternal});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(apply_ed_script(base, c.script).code(), c.code);
+    const auto reference = sequential_reference(base, c.script);
+    const ErrorCode reference_code =
+        !reference.ok() ? reference.code()
+        : crc_of(reference.value().text) != c.script.new_crc
+            ? ErrorCode::kInternal
+            : ErrorCode::kOk;
+    EXPECT_EQ(reference_code, c.code);
+  }
+}
+
+TEST(EdApplyParityTest, OverlappingRangesFollowSequentialSemantics) {
+  // The second command reaches into the line the first one wrote; ed
+  // applies it to the buffer as the first command left it.
+  const std::string base = "1\n2\n3\n4\n5\n";
+  EditScript script;
+  script.old_line_count = 5;
+  script.old_crc = crc_of(base);
+  EdCommand first;
+  first.kind = EdCommand::Kind::kChange;
+  first.line1 = 4;
+  first.line2 = 4;
+  first.text = {"X\n", "X2\n"};
+  EdCommand second;
+  second.kind = EdCommand::Kind::kChange;
+  second.line1 = 2;
+  second.line2 = 4;
+  second.text = {"Y\n"};
+  script.commands = {first, second};
+  script.new_crc = crc_of("1\nY\nX2\n5\n");
+  EXPECT_EQ(apply_ed_script(base, script).value(), "1\nY\nX2\n5\n");
+  EXPECT_EQ(sequential_reference(base, script).value().text,
+            "1\nY\nX2\n5\n");
+}
+
+TEST(EdApplyParityTest, RandomScriptsMatchSequentialReference) {
+  Rng rng(2024);
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t n = rng.below(10);
+    std::string base;
+    for (std::size_t i = 0; i < n; ++i) {
+      base += "b" + std::to_string(i);
+      if (i + 1 < n || rng.chance(0.7)) base += '\n';
+    }
+    EditScript script;
+    script.old_line_count = count_lines(base);
+    script.old_crc = crc_of(base);
+    if (rng.chance(0.05)) script.old_line_count += 1;
+    bool text_form = true;  // every entry "tN\n", so the ed text round-trips
+    u64 line1 = n + 1 - rng.below(2);
+    const std::size_t commands = rng.below(5);
+    for (std::size_t c = 0; c < commands; ++c) {
+      EdCommand cmd;
+      cmd.kind = static_cast<EdCommand::Kind>(rng.below(3));
+      // Mostly descending, sometimes repeated or rising.
+      line1 = rng.chance(0.9) ? rng.below(line1 + 1) : line1 + rng.below(3);
+      cmd.line1 = line1;
+      cmd.line2 = cmd.kind == EdCommand::Kind::kAppend
+                      ? cmd.line1
+                      : cmd.line1 + rng.below(4) - (rng.chance(0.05) ? 1 : 0);
+      // A delete may carry text too (a corrupted kind byte leaves it
+      // there); replay must ignore it.
+      const std::size_t lines = rng.below(4);
+      for (std::size_t j = 0; j < lines; ++j) {
+        if (rng.chance(0.1)) {
+          cmd.text.push_back(rng.chance(0.5) ? "u" : "");
+          text_form = false;
+        } else {
+          cmd.text.push_back("t" + std::to_string(rng.below(100)) + "\n");
+        }
+      }
+      script.commands.push_back(std::move(cmd));
+    }
+    SCOPED_TRACE("round " + std::to_string(round) + " script:\n" +
+                 ed_script_to_text(script) + "base:\n" + base);
+
+    const auto expected = sequential_reference(base, script);
+    if (!expected.ok()) {
+      ASSERT_EQ(apply_ed_script(base, script).code(), expected.code());
+      if (text_form && script.old_line_count == count_lines(base)) {
+        ASSERT_EQ(parse_ed_script_text(ed_script_to_text(script), base).code(),
+                  expected.code());
+      }
+      continue;
+    }
+    script.new_crc = crc_of(expected.value().text);
+    ASSERT_EQ(apply_ed_script(base, script).value(), expected.value().text);
+    EditScript wrong_target = script;
+    wrong_target.new_crc ^= 0x80000000u;
+    ASSERT_EQ(apply_ed_script(base, wrong_target).code(),
+              ErrorCode::kInternal);
+    if (text_form) {
+      // The text parser derives the target through the same replay.
+      auto parsed = parse_ed_script_text(ed_script_to_text(script), base);
+      ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+      EXPECT_EQ(parsed.value().new_line_count, expected.value().line_count);
+      EXPECT_EQ(parsed.value().new_crc, script.new_crc);
+    }
+  }
 }
 
 }  // namespace

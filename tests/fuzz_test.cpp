@@ -19,6 +19,7 @@
 #include "proto/messages.hpp"
 #include "proto/session.hpp"
 #include "server/shadow_server.hpp"
+#include "util/crc32.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "vfs/cluster.hpp"
@@ -116,7 +117,45 @@ TEST_P(FuzzSeeds, MutatedDeltasFailClosedOnApply) {
     // of the payload, so "valid but different output" is impossible).
     if (applied.ok()) {
       EXPECT_EQ(applied.value(), target);
+      // The server fingerprints the result with target_crc() instead of
+      // hashing it again; that is sound only if they agree.
+      EXPECT_EQ(crc32(reinterpret_cast<const u8*>(applied.value().data()),
+                      applied.value().size()),
+                decoded.value().target_crc());
     }
+  }
+}
+
+TEST_P(FuzzSeeds, StructurallyMutatedEdScriptsApplyOrFailClosed) {
+  const std::string base = core::make_file(3000, 5);
+  const std::string target = core::modify_percent(base, 8, 6);
+  const diff::EditScript script = diff::compute_ed_script(base, target);
+  ASSERT_GE(script.commands.size(), 2u);
+
+  for (int round = 0; round < 300; ++round) {
+    diff::EditScript mutated = script;
+    for (u64 edits = 1 + rng_.below(3); edits > 0; --edits) {
+      diff::EdCommand& cmd =
+          mutated.commands[rng_.below(mutated.commands.size())];
+      switch (rng_.below(7)) {
+        case 0: cmd.line1 += rng_.below(5) - 2; break;
+        case 1: cmd.line2 += rng_.below(5) - 2; break;
+        case 2: cmd.kind = static_cast<diff::EdCommand::Kind>(rng_.below(3));
+                break;
+        case 3: cmd.text.push_back(rng_.ascii_line(rng_.below(20)) + "\n");
+                break;
+        case 4: if (!cmd.text.empty()) cmd.text.pop_back(); break;
+        case 5: std::swap(cmd, mutated.commands[rng_.below(
+                                   mutated.commands.size())]);
+                break;
+        default: mutated.old_line_count += rng_.below(3) - 1; break;
+      }
+    }
+    auto applied = diff::apply_ed_script(base, mutated);
+    if (!applied.ok()) continue;
+    EXPECT_EQ(crc32(reinterpret_cast<const u8*>(applied.value().data()),
+                    applied.value().size()),
+              mutated.new_crc);
   }
 }
 

@@ -126,6 +126,65 @@ TEST(Crc32Test, SensitiveToSingleBit) {
   EXPECT_NE(crc32(a), crc32(b));
 }
 
+// Bit-at-a-time IEEE CRC-32 straight from the reflected polynomial: the
+// reference the word-at-a-time kernel must match bit for bit.
+u32 reference_crc32(const u8* data, std::size_t len) {
+  u32 crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(7);
+  const Bytes data = rng.bytes(1100 + 8);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(crc32(data.data() + start, len),
+                reference_crc32(data.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, EverySplitPointOfIncrementalUpdateMatchesReference) {
+  Rng rng(8);
+  const Bytes data = rng.bytes(4096);
+  const u32 expected = reference_crc32(data.data(), data.size());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 inc;
+    inc.update(data.data(), split);
+    inc.update(data.data() + split, data.size() - split);
+    ASSERT_EQ(inc.value(), expected) << "split " << split;
+  }
+}
+
+TEST(Crc32Test, OneMebibyteMatchesReference) {
+  Rng rng(9);
+  const Bytes data = rng.bytes(1 << 20);
+  EXPECT_EQ(crc32(data), reference_crc32(data.data(), data.size()));
+}
+
+TEST(Crc32Test, CombineComposesRandomSplitsIntoReference) {
+  Rng rng(10);
+  for (int round = 0; round < 200; ++round) {
+    const Bytes data = rng.bytes(rng.below(3000));
+    const std::size_t a = rng.below(data.size() + 1);
+    const std::size_t b = a + rng.below(data.size() - a + 1);
+    // Three pieces folded left to right, as a CDC digest list is.
+    u32 crc = crc32(data.data(), a);
+    crc = crc32_combine(crc, crc32(data.data() + a, b - a), b - a);
+    crc = crc32_combine(crc, crc32(data.data() + b, data.size() - b),
+                        data.size() - b);
+    ASSERT_EQ(crc, reference_crc32(data.data(), data.size()))
+        << "round " << round << " splits " << a << "," << b;
+  }
+}
+
 // ---- Rng ----
 
 TEST(RngTest, DeterministicForSeed) {
