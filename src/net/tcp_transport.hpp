@@ -108,6 +108,9 @@ class TcpListener {
   /// Accept, blocking up to `timeout_ms`.
   Result<std::unique_ptr<TcpTransport>> accept_blocking(int timeout_ms);
 
+  /// Listening socket (for poll sets); -1 before listen().
+  int fd() const { return fd_; }
+
  private:
   int fd_ = -1;
   u16 port_ = 0;

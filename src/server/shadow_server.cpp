@@ -1971,40 +1971,12 @@ void ShadowServer::sync_telemetry() const {
   const std::string& p = config_.telemetry_prefix;
   // store(), not add(): these counters MIRROR the authoritative ServerStats
   // accumulators, so re-syncing is idempotent.
-  r.counter(p + "server.notifies_received").store(stats_.notifies_received);
-  r.counter(p + "server.pulls_sent").store(stats_.pulls_sent);
-  r.counter(p + "server.pulls_deferred").store(stats_.pulls_deferred);
-  r.counter(p + "server.updates_received").store(stats_.updates_received);
-  r.counter(p + "server.update_bytes").store(stats_.update_bytes);
-  r.counter(p + "server.full_transfers").store(stats_.full_transfers);
-  r.counter(p + "server.delta_transfers").store(stats_.delta_transfers);
-  r.counter(p + "server.jobs_submitted").store(stats_.jobs_submitted);
-  r.counter(p + "server.jobs_rejected").store(stats_.jobs_rejected);
-  r.counter(p + "server.jobs_completed").store(stats_.jobs_completed);
-  r.counter(p + "server.jobs_failed").store(stats_.jobs_failed);
-  r.counter(p + "server.outputs_sent").store(stats_.outputs_sent);
-  r.counter(p + "server.output_bytes").store(stats_.output_bytes);
-  r.counter(p + "server.output_delta_hits").store(stats_.output_delta_hits);
-  r.counter(p + "server.unsolicited_updates")
-      .store(stats_.unsolicited_updates);
-  r.counter(p + "server.deferred_by_load").store(stats_.deferred_by_load);
-  r.counter(p + "server.session_resyncs").store(stats_.session_resyncs);
-  r.counter(p + "server.journal_appends").store(stats_.journal_appends);
-  r.counter(p + "server.journal_failures").store(stats_.journal_failures);
-  r.counter(p + "server.acks_deferred").store(stats_.acks_deferred);
-  r.counter(p + "server.persist_flushes").store(stats_.persist_flushes);
-  r.counter(p + "server.compactions").store(stats_.compactions);
-  r.counter(p + "server.recovered_records").store(stats_.recovered_records);
-  r.counter(p + "server.requeued_jobs").store(stats_.requeued_jobs);
-  r.counter(p + "server.retry_capped_jobs").store(stats_.retry_capped_jobs);
+  for (const auto& field : kServerStatsFields) {
+    r.counter(p + field.name).store(stats_.*field.member);
+  }
 
-  // CDC digest tracking (docs/DELTAS.md): how many transfers arrived as
-  // chunk deltas, whether the server could advance its signature without
-  // the bytes, and what the digest-only entries cost vs represent.
-  r.counter(p + "server.cdc_transfers").store(stats_.cdc_transfers);
-  r.counter(p + "server.digest_advances").store(stats_.digest_advances);
-  r.counter(p + "server.digest_advance_failures")
-      .store(stats_.digest_advance_failures);
+  // CDC digest tracking (docs/DELTAS.md): what the digest-only entries
+  // cost vs represent.
   const auto digests = cache_.digest_stats();
   r.gauge(p + "server.digest_entries")
       .set(static_cast<double>(digests.entries));
@@ -2013,14 +1985,7 @@ void ShadowServer::sync_telemetry() const {
   r.gauge(p + "server.digest_represented_bytes")
       .set(static_cast<double>(digests.represented_bytes));
 
-  // Overload control & leases (docs/OPERATIONS.md): how much work the
-  // server is refusing, and why.
-  r.counter(p + "overload.busy_rejects").store(stats_.busy_rejects);
-  r.counter(p + "overload.conns_dropped")
-      .store(stats_.conns_dropped_overflow);
-  r.counter(p + "overload.drain_notices").store(stats_.drain_notices);
-  r.counter(p + "lease.expired").store(stats_.leases_expired);
-  r.counter(p + "lease.heartbeats").store(stats_.heartbeats_received);
+  // Overload control & leases (docs/OPERATIONS.md).
   r.gauge(p + "overload.queued_bytes")
       .set(static_cast<double>(total_queued_bytes()));
   r.gauge(p + "overload.draining").set(draining_ ? 1.0 : 0.0);
@@ -2046,14 +2011,18 @@ void ShadowServer::sync_telemetry() const {
   r.gauge(p + "server.persist_alive").set(persist_alive() ? 1.0 : 0.0);
 
   // Per-connection session totals, summed (the per-channel breakdown stays
-  // in ReliableChannel::Stats).
-  const auto sessions = session_stats();
-  r.counter(p + "server.session_data_sent").store(sessions.data_sent);
-  r.counter(p + "server.session_delivered").store(sessions.delivered);
-  r.counter(p + "server.session_retransmits").store(sessions.retransmits);
-  r.counter(p + "server.session_corrupt_dropped")
-      .store(sessions.corrupt_dropped);
-  r.counter(p + "server.session_desyncs").store(sessions.desyncs);
+  // in ReliableChannel::Stats). Only a server that runs reliable sessions
+  // has any; shards never do (the lobby routes raw frames), so a shard's
+  // counters are exactly the ServerStats rows the facade sums.
+  if (config_.reliable_session) {
+    const auto sessions = session_stats();
+    r.counter(p + "server.session_data_sent").store(sessions.data_sent);
+    r.counter(p + "server.session_delivered").store(sessions.delivered);
+    r.counter(p + "server.session_retransmits").store(sessions.retransmits);
+    r.counter(p + "server.session_corrupt_dropped")
+        .store(sessions.corrupt_dropped);
+    r.counter(p + "server.session_desyncs").store(sessions.desyncs);
+  }
 
   load_monitor_.publish(p);
 }

@@ -136,6 +136,57 @@ struct ServerStats {
   u64 drain_notices = 0;         // ServerBusy(draining) sent at drain
 };
 
+/// Every ServerStats field, written once: its registry name (before any
+/// shard prefix) and the member. ShardedServer's aggregation and both
+/// sync_telemetry() mirrors walk this table, so no field can be summed
+/// but not published, or published under two spellings. The overload
+/// and lease counters keep their overload.* / lease.* names.
+struct ServerStatsField {
+  const char* name;
+  u64 ServerStats::*member;
+};
+inline constexpr ServerStatsField kServerStatsFields[] = {
+    {"server.notifies_received", &ServerStats::notifies_received},
+    {"server.pulls_sent", &ServerStats::pulls_sent},
+    {"server.pulls_deferred", &ServerStats::pulls_deferred},
+    {"server.updates_received", &ServerStats::updates_received},
+    {"server.update_bytes", &ServerStats::update_bytes},
+    {"server.full_transfers", &ServerStats::full_transfers},
+    {"server.delta_transfers", &ServerStats::delta_transfers},
+    {"server.cdc_transfers", &ServerStats::cdc_transfers},
+    {"server.digest_advances", &ServerStats::digest_advances},
+    {"server.digest_advance_failures", &ServerStats::digest_advance_failures},
+    {"server.jobs_submitted", &ServerStats::jobs_submitted},
+    {"server.jobs_rejected", &ServerStats::jobs_rejected},
+    {"server.jobs_completed", &ServerStats::jobs_completed},
+    {"server.jobs_failed", &ServerStats::jobs_failed},
+    {"server.outputs_sent", &ServerStats::outputs_sent},
+    {"server.output_bytes", &ServerStats::output_bytes},
+    {"server.output_delta_hits", &ServerStats::output_delta_hits},
+    {"server.unsolicited_updates", &ServerStats::unsolicited_updates},
+    {"server.deferred_by_load", &ServerStats::deferred_by_load},
+    {"server.session_resyncs", &ServerStats::session_resyncs},
+    {"server.journal_appends", &ServerStats::journal_appends},
+    {"server.journal_failures", &ServerStats::journal_failures},
+    {"server.acks_deferred", &ServerStats::acks_deferred},
+    {"server.persist_flushes", &ServerStats::persist_flushes},
+    {"server.compactions", &ServerStats::compactions},
+    {"server.recovered_records", &ServerStats::recovered_records},
+    {"server.requeued_jobs", &ServerStats::requeued_jobs},
+    {"server.retry_capped_jobs", &ServerStats::retry_capped_jobs},
+    {"overload.busy_rejects", &ServerStats::busy_rejects},
+    {"overload.conns_dropped", &ServerStats::conns_dropped_overflow},
+    {"lease.expired", &ServerStats::leases_expired},
+    {"lease.heartbeats", &ServerStats::heartbeats_received},
+    {"overload.drain_notices", &ServerStats::drain_notices},
+};
+// ServerStats is all u64 counters; a field missing from the table above
+// fails here instead of silently dropping out of every aggregate.
+static_assert(sizeof(ServerStats) ==
+                  sizeof(kServerStatsFields) / sizeof(ServerStatsField) *
+                      sizeof(u64),
+              "every ServerStats field needs a row in kServerStatsFields");
+
 class ShadowServer {
  public:
   /// `store` (optional) makes every mutation crash-consistent: the server

@@ -1,5 +1,6 @@
 #include "server/sharded_server.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <variant>
@@ -11,37 +12,16 @@
 namespace shadow::server {
 
 namespace {
-void accumulate(ServerStats& total, const ServerStats& s) {
-  total.notifies_received += s.notifies_received;
-  total.pulls_sent += s.pulls_sent;
-  total.pulls_deferred += s.pulls_deferred;
-  total.updates_received += s.updates_received;
-  total.update_bytes += s.update_bytes;
-  total.full_transfers += s.full_transfers;
-  total.delta_transfers += s.delta_transfers;
-  total.jobs_submitted += s.jobs_submitted;
-  total.jobs_rejected += s.jobs_rejected;
-  total.jobs_completed += s.jobs_completed;
-  total.jobs_failed += s.jobs_failed;
-  total.outputs_sent += s.outputs_sent;
-  total.output_bytes += s.output_bytes;
-  total.output_delta_hits += s.output_delta_hits;
-  total.unsolicited_updates += s.unsolicited_updates;
-  total.deferred_by_load += s.deferred_by_load;
-  total.session_resyncs += s.session_resyncs;
-  total.journal_appends += s.journal_appends;
-  total.journal_failures += s.journal_failures;
-  total.acks_deferred += s.acks_deferred;
-  total.persist_flushes += s.persist_flushes;
-  total.compactions += s.compactions;
-  total.recovered_records += s.recovered_records;
-  total.requeued_jobs += s.requeued_jobs;
-  total.retry_capped_jobs += s.retry_capped_jobs;
-  total.busy_rejects += s.busy_rejects;
-  total.conns_dropped_overflow += s.conns_dropped_overflow;
-  total.leases_expired += s.leases_expired;
-  total.heartbeats_received += s.heartbeats_received;
-  total.drain_notices += s.drain_notices;
+constexpr int kServeRoundMs = 50;  // serve()'s longest wait per round
+
+ServerStats accumulate(const std::vector<ServerStats>& copies) {
+  ServerStats total;
+  for (const auto& s : copies) {
+    for (const auto& field : kServerStatsFields) {
+      total.*field.member += s.*field.member;
+    }
+  }
+  return total;
 }
 }  // namespace
 
@@ -176,24 +156,20 @@ void ShardedServer::begin_drain() {
 bool ShardedServer::drain_complete() {
   std::vector<char> done(shards_.size(), 0);
   on_every_shard([this, &done](std::size_t i) {
-    // drain() collects finished pipelined batches (releasing their acks)
-    // before the completeness check — all on shard i's own thread.
-    (void)shards_[i]->pump_persist();
-    done[i] = shards_[i]->drain_complete() ? 1 : 0;
+    // flush_persist() seals the open commit window and collects finished
+    // pipelined batches (releasing their acks) before the completeness
+    // check — all on shard i's own thread. Records journaled after
+    // begin_drain() (a job the drain's own flush let finish) must not
+    // wait out the window. Queued bytes count as pending: a drain notice
+    // still parked behind a slow reader has not reached its client yet.
+    shards_[i]->flush_persist();
+    done[i] = shards_[i]->drain_complete() &&
+              shards_[i]->total_queued_bytes() == 0;
   });
   for (const char d : done) {
     if (d == 0) return false;
   }
   return true;
-}
-
-std::size_t ShardedServer::expire_leases() {
-  std::size_t expired = 0;
-  for (auto& shard : shards_) {
-    expired += shard->expire_leases();
-    shard->reap_doomed();
-  }
-  return expired;
 }
 
 // ---- threaded mode ----
@@ -248,7 +224,31 @@ void ShardedServer::stop_threads() {
   }
 }
 
+void ShardedServer::serve(net::TcpListener& listener,
+                          std::function<bool()> done) {
+  std::vector<pollfd> fds;
+  while (!done()) {
+    // Frames already buffered in a lobby inbox need no wait; otherwise
+    // sleep until the listener or a lobby socket has something. A signal
+    // ends the wait early (EINTR), so done() sees it within the round.
+    int timeout_ms = kServeRoundMs;
+    fds.clear();
+    fds.push_back({listener.fd(), POLLIN, 0});
+    for (const auto& conn : lobby_) {
+      if (!conn->inbox.empty()) timeout_ms = 0;
+      fds.push_back({conn->transport->fd(), POLLIN, 0});
+    }
+    (void)::poll(fds.data(), fds.size(), timeout_ms);
+    for (auto accepted = listener.accept(); accepted.ok();
+         accepted = listener.accept()) {
+      adopt_tcp(std::move(accepted).take());
+    }
+    poll_lobby();
+  }
+}
+
 void ShardedServer::adopt_tcp(std::unique_ptr<net::TcpTransport> transport) {
+  ++accepted_;
   auto conn = std::make_unique<LobbyConn>();
   conn->transport = std::move(transport);
   LobbyConn* raw = conn.get();
@@ -337,7 +337,10 @@ std::size_t ShardedServer::poll_lobby() {
 
 std::size_t ShardedServer::live_connections() const {
   std::size_t total = lobby_.size();
-  for (const auto& loop : loops_) total += loop->connections();
+  for (const auto& loop : loops_) {
+    total += static_cast<std::size_t>(loop->adopted_total() -
+                                      loop->closed_total());
+  }
   return total;
 }
 
@@ -373,9 +376,7 @@ ServerStats ShardedServer::aggregate_stats() {
   on_every_shard([this, &copies](std::size_t i) {
     copies[i] = shards_[i]->stats();  // copied on shard i's own thread
   });
-  ServerStats total;
-  for (const auto& s : copies) accumulate(total, s);
-  return total;
+  return accumulate(copies);
 }
 
 void ShardedServer::sync_telemetry() {
@@ -386,47 +387,19 @@ void ShardedServer::sync_telemetry() {
     shards_[i]->sync_telemetry();
     copies[i] = shards_[i]->stats();
   });
-  ServerStats total;
-  for (const auto& s : copies) accumulate(total, s);
+  const ServerStats total = accumulate(copies);
 
   auto& r = telemetry::Registry::global();
-  // The plain server.* names shadowtop has always shown now carry the
-  // fleet-wide sums; shard<i>.server.* has the per-shard breakdown.
-  r.counter("server.notifies_received").store(total.notifies_received);
-  r.counter("server.pulls_sent").store(total.pulls_sent);
-  r.counter("server.pulls_deferred").store(total.pulls_deferred);
-  r.counter("server.updates_received").store(total.updates_received);
-  r.counter("server.update_bytes").store(total.update_bytes);
-  r.counter("server.full_transfers").store(total.full_transfers);
-  r.counter("server.delta_transfers").store(total.delta_transfers);
-  r.counter("server.jobs_submitted").store(total.jobs_submitted);
-  r.counter("server.jobs_rejected").store(total.jobs_rejected);
-  r.counter("server.jobs_completed").store(total.jobs_completed);
-  r.counter("server.jobs_failed").store(total.jobs_failed);
-  r.counter("server.outputs_sent").store(total.outputs_sent);
-  r.counter("server.output_bytes").store(total.output_bytes);
-  r.counter("server.output_delta_hits").store(total.output_delta_hits);
-  r.counter("server.unsolicited_updates").store(total.unsolicited_updates);
-  r.counter("server.deferred_by_load").store(total.deferred_by_load);
-  r.counter("server.journal_appends").store(total.journal_appends);
-  r.counter("server.journal_failures").store(total.journal_failures);
-  r.counter("server.acks_deferred").store(total.acks_deferred);
-  r.counter("server.persist_flushes").store(total.persist_flushes);
-  r.counter("server.compactions").store(total.compactions);
-  r.counter("server.recovered_records").store(total.recovered_records);
-  r.counter("server.requeued_jobs").store(total.requeued_jobs);
-  r.counter("server.retry_capped_jobs").store(total.retry_capped_jobs);
-  r.counter("overload.busy_rejects").store(total.busy_rejects);
-  r.counter("overload.conns_dropped").store(total.conns_dropped_overflow);
-  r.counter("overload.drain_notices").store(total.drain_notices);
-  r.counter("lease.expired").store(total.leases_expired);
-  r.counter("lease.heartbeats").store(total.heartbeats_received);
+  // The plain names shadowtop has always shown carry the fleet-wide sums;
+  // shard<i>. has the per-shard breakdown.
+  for (const auto& field : kServerStatsFields) {
+    r.counter(field.name).store(total.*field.member);
+  }
   r.gauge("overload.draining").set(draining_ ? 1.0 : 0.0);
 
   r.gauge("shards.count").set(static_cast<double>(shards_.size()));
-  std::size_t connections = lobby_.size();
-  for (const auto& loop : loops_) connections += loop->connections();
-  r.gauge("shards.connections").set(static_cast<double>(connections));
+  r.gauge("shards.connections")
+      .set(static_cast<double>(live_connections()));
   {
     std::lock_guard<std::mutex> lock(clients_mu_);
     r.gauge("shards.named_clients")

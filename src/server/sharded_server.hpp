@@ -18,8 +18,9 @@
 //     mode allowed with a Simulator (ROADMAP: sim runs stay pinned to a
 //     single loop).
 //   * THREADED (threaded == true): one net::EventLoop + std::thread per
-//     shard; the acceptor thread runs the lobby and hands routed sockets
-//     over with EventLoop::adopt(). shadowd --threads N.
+//     shard; the acceptor thread runs serve() — accept plus the lobby —
+//     and hands routed sockets over with EventLoop::adopt(). This is
+//     shadowd, for every --threads N >= 1.
 //
 // Cross-shard traffic exists on exactly one path: a job whose
 // output_route names a client pinned to a sibling shard (§8.3). The
@@ -94,15 +95,26 @@ class ShardedServer {
   void stop_threads();
   bool threaded() const { return !threads_.empty(); }
 
+  /// The acceptor loop (threaded mode, acceptor thread): accept from
+  /// `listener`, route the lobby, and between rounds block in one
+  /// ::poll() over the listener and every lobby socket. Returns once
+  /// `done()` — checked before every round — is true. A round waits at
+  /// most 50 ms, less when a socket turns readable or a signal
+  /// interrupts the poll.
+  void serve(net::TcpListener& listener, std::function<bool()> done);
+
   /// Take ownership of a freshly accepted socket (acceptor thread).
   void adopt_tcp(std::unique_ptr<net::TcpTransport> transport);
+  /// Sockets adopt_tcp() has taken so far (acceptor thread).
+  u64 accepted() const { return accepted_; }
   /// Drive the lobby (acceptor thread): poll un-routed connections, route
   /// those whose first frame arrived, reap those that closed. Returns the
   /// number of frames handled.
   std::size_t poll_lobby();
 
-  /// Connections alive anywhere (lobby + every shard loop). Approximate
-  /// while loops are running; used for --once drain detection.
+  /// Connections alive anywhere (lobby + every shard loop). A socket
+  /// counts from its hand-off to a loop until that loop reaps it, so a
+  /// connection in transit is never missed; used for --once.
   std::size_t live_connections() const;
 
   /// Sum of per-shard ServerStats. Inline: reads shards directly.
@@ -123,14 +135,12 @@ class ShardedServer {
   /// open group-commit windows are sealed. Idempotent.
   void begin_drain();
   bool draining() const { return draining_; }
-  /// True once every shard's journaled records have fsynced and released
-  /// their parked acks (checked on the shard threads when threaded).
+  /// Flush every shard's open commit window, then report whether every
+  /// journaled record has fsynced and released its parked ack, and every
+  /// queued outbound byte (the drain notices among them) has left its
+  /// connection (on the shard threads when threaded). Call while
+  /// draining.
   bool drain_complete();
-
-  /// Lease sweep + doomed-connection reap on every shard (inline mode /
-  /// tests; threaded shards run this from their loops' idle hooks).
-  /// Returns the number of leases expired.
-  std::size_t expire_leases();
 
  private:
   struct LobbyConn {
@@ -159,6 +169,7 @@ class ShardedServer {
   std::vector<std::unique_ptr<net::EventLoop>> loops_;  // threaded mode
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<LobbyConn>> lobby_;  // acceptor-thread owned
+  u64 accepted_ = 0;                               // acceptor-thread owned
 
   mutable std::mutex clients_mu_;  // guards client_shard_
   std::map<std::string, std::size_t> client_shard_;

@@ -48,9 +48,9 @@ echo "$OUT" | grep -q "submitted; job id 1" || fail "tichy/lz77 submit missing"
 grep -q "1 jobs completed" "$LOG" || fail "tichy/lz77 job not completed"
 
 # --- second phase: daemon state persistence across restarts -------------
-STATE=$(mktemp -u)
+STATE=$(mktemp -d)
 PORT2=$((20000 + RANDOM % 20000))
-"$BUILD_DIR/tools/shadowd" --port "$PORT2" --once --state "$STATE" > "$LOG" 2>&1 &
+"$BUILD_DIR/tools/shadowd" --port "$PORT2" --once --journal "$STATE" > "$LOG" 2>&1 &
 DPID=$!
 for _ in $(seq 1 50); do
   grep -q "listening" "$LOG" && break
@@ -58,16 +58,16 @@ for _ in $(seq 1 50); do
 done
 printf 'gen /home/user/d 2000 9\nquit\n' | "$BUILD_DIR/tools/shadow" --connect "$PORT2" > /dev/null
 wait "$DPID"
-[ -f "$STATE" ] || fail "state file not written"
-grep -q "state saved" "$LOG" || fail "daemon did not report saving state"
+[ -s "$STATE/shard0/journal.wal" ] || fail "journal not written"
+grep -q "exiting; 1 updates received" "$LOG" || fail "daemon did not report the saved update"
 
-"$BUILD_DIR/tools/shadowd" --port "$PORT2" --once --state "$STATE" > "$LOG" 2>&1 &
+"$BUILD_DIR/tools/shadowd" --port "$PORT2" --once --journal "$STATE" > "$LOG" 2>&1 &
 DPID=$!
 for _ in $(seq 1 50); do
   grep -q "listening" "$LOG" && break
   sleep 0.1
 done
-grep -q "restored state from .* (1 cached files)" "$LOG" || fail "daemon did not restore state"
+grep -q "recovered 1 shards from .*, 1 cached files)" "$LOG" || fail "daemon did not restore state"
 printf 'quit\n' | "$BUILD_DIR/tools/shadow" --connect "$PORT2" > /dev/null
 wait "$DPID"
 
@@ -111,5 +111,5 @@ kill "$DPID" 2>/dev/null
 wait "$DPID" 2>/dev/null
 rm -rf "$JOURNAL"
 
-rm -f "$LOG" "$STATE"
+rm -rf "$LOG" "$STATE"
 echo "PASS: cli end-to-end"

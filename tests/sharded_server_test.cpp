@@ -1,6 +1,8 @@
 // Inline-mode ShardedServer: Hello routing, shard-local state, aggregated
-// stats/telemetry, the cross-shard output_route hop, per-shard journal
-// recovery, and the facade's lobby answering AdminQuery without a Hello.
+// stats/telemetry (every counter summed, none dropped), the cross-shard
+// output_route hop, per-shard journal recovery, the facade's lobby
+// answering AdminQuery without a Hello, and drain completion waiting for
+// queued drain notices.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,7 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "client/shadow_client.hpp"
+#include "client/shadow_editor.hpp"
 #include "compress/compress.hpp"
+#include "core/workload.hpp"
 #include "diff/delta.hpp"
 #include "net/loopback.hpp"
 #include "persist/durable_store.hpp"
@@ -16,6 +21,9 @@
 #include "proto/messages.hpp"
 #include "server/sharded_server.hpp"
 #include "telemetry/registry.hpp"
+#include "util/logging.hpp"
+#include "util/rng.hpp"
+#include "vfs/cluster.hpp"
 
 namespace shadow::server {
 namespace {
@@ -270,6 +278,216 @@ TEST(ShardedServerTest, PerShardJournalsRecoverIndependently) {
     EXPECT_EQ(shard.file_cache().entry_count(), 1u)
         << "shard " << expected_shard[c] << " lost ws" << c << "'s file";
   }
+}
+
+/// High-entropy bytes with a NUL, so the client's binariness sniff sends
+/// the file through the CDC codec.
+std::string binary_blob(std::size_t size, u64 seed) {
+  Rng rng(seed);
+  std::string out(size, '\0');
+  for (auto& c : out) c = static_cast<char>(rng.below(256));
+  out[size / 2] = '\0';
+  return out;
+}
+
+TEST(ShardedServerTest, EveryStatAndCounterSumsOverShards) {
+  const LogLevel saved = Logger::instance().level();
+  Logger::instance().set_level(LogLevel::kError);
+  telemetry::Registry::global().reset_values();
+  constexpr std::size_t kTwo = 2;
+  constexpr const char* kAggDomain = "net-agg";
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, kTwo);
+
+  // One workstation per shard, each with a real client so the traffic
+  // covers line deltas, CDC chunk deltas, digest advances and a job.
+  std::vector<std::string> names(kTwo);
+  for (int n = 0; names[0].empty() || names[1].empty(); ++n) {
+    const std::string name = "ws" + std::to_string(n);
+    auto& slot = names[sharded.router().shard_of_client(kAggDomain, name)];
+    if (slot.empty()) slot = name;
+  }
+  vfs::Cluster cluster;
+  std::vector<net::LoopbackPair> pairs;
+  std::vector<std::unique_ptr<client::ShadowClient>> clients;
+  for (const auto& name : names) {
+    (void)cluster.add_host(name).mkdir_p("/home/user");
+    pairs.push_back(net::make_loopback_pair(name, "super"));
+    clients.push_back(std::make_unique<client::ShadowClient>(
+        name, client::ShadowEnvironment{}, &cluster, kAggDomain));
+    sharded.attach(pairs.back().b.get());
+    clients.back()->connect("super", pairs.back().a.get());
+  }
+  auto quiesce = [&] {
+    for (int round = 0; round < 2'000; ++round) {
+      std::size_t moved = 0;
+      for (auto& pair : pairs) moved += pair.a->poll() + pair.b->poll();
+      if (moved != 0) continue;
+      std::size_t ticked = sharded.tick();
+      for (auto& c : clients) ticked += c->tick();
+      if (ticked == 0) return;
+    }
+  };
+  quiesce();
+  for (std::size_t i = 0; i < kTwo; ++i) {
+    client::ShadowEditor editor(clients[i].get(), &cluster);
+    std::string text = core::make_file(4'000, 10 + i);
+    std::string blob = binary_blob(64 * 1024, 20 + i);
+    ASSERT_TRUE(editor.create("/home/user/notes", text).ok());
+    ASSERT_TRUE(editor.create("/home/user/blob", blob).ok());
+    quiesce();
+    text.replace(100, 20, "an edited line here\n");
+    blob.replace(1'000, 64, std::string(64, 'x'));
+    ASSERT_TRUE(editor.create("/home/user/notes", text).ok());
+    ASSERT_TRUE(editor.create("/home/user/blob", blob).ok());
+    quiesce();
+    client::ShadowClient::SubmitOptions job;
+    job.files = {"/home/user/notes"};
+    job.command_file = "sort notes\n";
+    auto token = clients[i]->submit(job);
+    ASSERT_TRUE(token.ok());
+    quiesce();
+    EXPECT_TRUE(clients[i]->job_done(token.value())) << names[i];
+  }
+
+  // ServerStats: the aggregate is the field-by-field sum. The list below
+  // is this test's own, independent of the server's counter table; the
+  // static_assert makes a new field fail here until it is listed.
+  const ServerStats total = sharded.aggregate_stats();
+  std::size_t checked = 0;
+#define EXPECT_SUMMED(field)                                        \
+  do {                                                              \
+    u64 sum = 0;                                                    \
+    for (std::size_t i = 0; i < kTwo; ++i) {                        \
+      sum += sharded.shard(i).stats().field;                        \
+    }                                                               \
+    EXPECT_EQ(total.field, sum) << #field " dropped by aggregation"; \
+    ++checked;                                                      \
+  } while (0)
+  EXPECT_SUMMED(notifies_received);
+  EXPECT_SUMMED(pulls_sent);
+  EXPECT_SUMMED(pulls_deferred);
+  EXPECT_SUMMED(updates_received);
+  EXPECT_SUMMED(update_bytes);
+  EXPECT_SUMMED(full_transfers);
+  EXPECT_SUMMED(delta_transfers);
+  EXPECT_SUMMED(cdc_transfers);
+  EXPECT_SUMMED(digest_advances);
+  EXPECT_SUMMED(digest_advance_failures);
+  EXPECT_SUMMED(jobs_submitted);
+  EXPECT_SUMMED(jobs_rejected);
+  EXPECT_SUMMED(jobs_completed);
+  EXPECT_SUMMED(jobs_failed);
+  EXPECT_SUMMED(outputs_sent);
+  EXPECT_SUMMED(output_bytes);
+  EXPECT_SUMMED(output_delta_hits);
+  EXPECT_SUMMED(unsolicited_updates);
+  EXPECT_SUMMED(deferred_by_load);
+  EXPECT_SUMMED(session_resyncs);
+  EXPECT_SUMMED(journal_appends);
+  EXPECT_SUMMED(journal_failures);
+  EXPECT_SUMMED(acks_deferred);
+  EXPECT_SUMMED(persist_flushes);
+  EXPECT_SUMMED(compactions);
+  EXPECT_SUMMED(recovered_records);
+  EXPECT_SUMMED(requeued_jobs);
+  EXPECT_SUMMED(retry_capped_jobs);
+  EXPECT_SUMMED(busy_rejects);
+  EXPECT_SUMMED(conns_dropped_overflow);
+  EXPECT_SUMMED(leases_expired);
+  EXPECT_SUMMED(heartbeats_received);
+  EXPECT_SUMMED(drain_notices);
+#undef EXPECT_SUMMED
+  static_assert(sizeof(ServerStats) == 33 * sizeof(u64),
+                "list the new ServerStats field above");
+  EXPECT_EQ(checked, 33u);
+  // The traffic really reached both shards and both CDC paths.
+  for (std::size_t i = 0; i < kTwo; ++i) {
+    EXPECT_GT(sharded.shard(i).stats().cdc_transfers, 0u) << "shard " << i;
+    EXPECT_GT(sharded.shard(i).stats().digest_advances, 0u) << "shard " << i;
+    EXPECT_GT(sharded.shard(i).stats().delta_transfers, 0u) << "shard " << i;
+    EXPECT_GT(sharded.shard(i).stats().jobs_completed, 0u) << "shard " << i;
+  }
+
+  // Registry: every counter a shard publishes has a plain aggregate equal
+  // to the sum of its shard<i>. values.
+  sharded.sync_telemetry();
+  const auto snapshot = telemetry::Registry::global().snapshot();
+  std::map<std::string, u64> counters;
+  for (const auto& c : snapshot.counters) counters[c.name] = c.value;
+  std::size_t shard_counters = 0;
+  for (const auto& [name, value] : counters) {
+    if (name.rfind("shard0.", 0) != 0) continue;
+    const std::string plain = name.substr(std::string("shard0.").size());
+    ++shard_counters;
+    ASSERT_TRUE(counters.count("shard1." + plain)) << plain;
+    ASSERT_TRUE(counters.count(plain)) << plain << " has no plain aggregate";
+    EXPECT_EQ(counters[plain], value + counters["shard1." + plain]) << plain;
+  }
+  EXPECT_GE(shard_counters, 33u);
+  Logger::instance().set_level(saved);
+}
+
+TEST(ShardedServerTest, DrainWaitsForQueuedDrainNotices) {
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, kShards);
+  Client reader;
+  reader.name = "ws0";
+  reader.connect(sharded);
+  ASSERT_NE(reader.last_of<proto::HelloReply>(), nullptr);
+
+  // The reader stops reading: begin_drain()'s ServerBusy(draining) notice
+  // sits in its connection's queue, so the drain is not complete yet.
+  sharded.begin_drain();
+  EXPECT_GT(sharded.shard(1).total_queued_bytes(), 0u);
+  EXPECT_FALSE(sharded.drain_complete());
+  EXPECT_EQ(reader.last_of<proto::ServerBusy>(), nullptr);
+
+  // Once the notice is read, nothing is pending.
+  (void)reader.pair.a->poll();
+  const auto* busy = reader.last_of<proto::ServerBusy>();
+  ASSERT_NE(busy, nullptr);
+  EXPECT_TRUE(busy->draining);
+  EXPECT_TRUE(sharded.drain_complete());
+}
+
+TEST(ShardedServerTest, DrainFlushesRecordsJournaledAfterItBegan) {
+  persist::MemDir dir;
+  persist::DurableStore store(&dir);
+  persist::GroupCommitConfig gc;
+  gc.window_us = 60'000'000;  // nothing flushes unless the drain does
+  store.set_group_commit(gc);
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, 1, {&store});
+  ASSERT_TRUE(sharded.recover_all().ok());
+  Client editor;
+  editor.name = "ws0";
+  editor.connect(sharded);
+  sharded.begin_drain();
+  (void)editor.pair.a->poll();  // read the drain notice
+  ASSERT_TRUE(sharded.drain_complete());
+
+  // Drain refuses new work but keeps acking updates in flight; this one
+  // is journaled into a fresh commit window after begin_drain() sealed
+  // the last one. The drain must not wait the window out.
+  proto::Update update;
+  update.file = file_id("ws0", 7);
+  update.base_version = 0;
+  update.new_version = 1;
+  update.payload = full_payload("saved while draining\n");
+  editor.send(update);
+  EXPECT_EQ(editor.last_of<proto::UpdateAck>(), nullptr);  // parked
+  // Not complete yet: the flush released the ack, which is still queued.
+  EXPECT_FALSE(sharded.drain_complete());
+  EXPECT_EQ(store.pending_records(), 0u);
+  (void)editor.pair.a->poll();
+  const auto* ack = editor.last_of<proto::UpdateAck>();
+  ASSERT_NE(ack, nullptr);
+  EXPECT_TRUE(ack->ok);
+  EXPECT_TRUE(sharded.drain_complete());
 }
 
 }  // namespace

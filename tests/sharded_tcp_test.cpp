@@ -30,28 +30,19 @@ Bytes full_payload(const std::string& content) {
   return compress::compress(w.take(), compress::Codec::kStored);
 }
 
-/// Acceptor thread: the same loop shadowd --threads N runs.
+/// Acceptor thread: the same serve() loop shadowd runs.
 class Acceptor {
  public:
   Acceptor(ShardedServer& server, net::TcpListener& listener)
-      : server_(server), listener_(listener), thread_([this] { run(); }) {}
+      : thread_([this, &server, &listener] {
+          server.serve(listener, [this] { return stop_.load(); });
+        }) {}
   ~Acceptor() {
     stop_.store(true);
     thread_.join();
   }
 
  private:
-  void run() {
-    while (!stop_.load()) {
-      if (auto accepted = listener_.accept(); accepted.ok()) {
-        server_.adopt_tcp(std::move(accepted).take());
-      }
-      if (server_.poll_lobby() == 0) ::usleep(1000);
-    }
-  }
-
-  ShardedServer& server_;
-  net::TcpListener& listener_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };

@@ -283,12 +283,7 @@ TEST(GroupCommitStress, FourShardThreadsBatchedFsync) {
     std::atomic<int> failures{0};
     std::atomic<bool> stop_accepting{false};
     std::thread acceptor([&] {
-      while (!stop_accepting.load()) {
-        if (auto accepted = listener.accept(); accepted.ok()) {
-          sharded.adopt_tcp(std::move(accepted).take());
-        }
-        if (sharded.poll_lobby() == 0) ::usleep(1000);
-      }
+      sharded.serve(listener, [&] { return stop_accepting.load(); });
     });
     {
       std::vector<std::thread> clients;

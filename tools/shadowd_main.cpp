@@ -1,18 +1,20 @@
 // shadowd — the shadow server daemon (paper §7: "a server process listens
 // at a well-known port for connections from clients").
 //
-//   shadowd --port 7788 [--name supercomputer] [--cache-budget BYTES]
-//           [--eviction lru|fifo|largest-first] [--reverse-shadow]
-//           [--no-cdc] [--codec stored|rle|lz77] [--journal DIR]
-//           [--verbose]
+//   shadowd --port 7788 [--name supercomputer] [--threads N]
+//           [--cache-budget BYTES] [--eviction lru|fifo|largest-first]
+//           [--reverse-shadow] [--no-cdc] [--codec stored|rle|lz77]
+//           [--journal DIR] [--verbose]
 //
-// Accepts any number of clients; serves until killed. With --once it
-// exits after the first client disconnects (used by the e2e test).
+// One process shape (docs/CONCURRENCY.md): a ShardedServer with --threads
+// N shards (default 1), each on its own event-loop thread, while the main
+// thread accepts and routes new connections. Accepts any number of
+// clients; serves until signalled. With --once it exits after the first
+// client disconnects (used by the e2e test).
 //
-// Two durability modes: --state FILE snapshots on clean shutdown only
-// (a crash loses everything since startup); --journal DIR write-ahead
-// journals every acknowledged mutation to DIR/journal.wal, so acked
-// state survives a kill -9. Inspect the directory with tools/wal.
+// Durability: --journal DIR write-ahead journals every acknowledged
+// mutation to DIR/shard<i>/journal.wal, so acked state survives a
+// kill -9. Inspect a shard's directory with tools/wal.
 //
 // Group commit (docs/DURABILITY.md): --commit-window USEC batches journal
 // records from concurrent connections under one fsync per window; 0 (the
@@ -28,6 +30,7 @@
 // (or SIGINT) begins a graceful drain: stop admitting, tell connected
 // clients, flush every open group-commit window, then exit — or give up
 // after --drain-deadline microseconds. A second signal exits at once.
+#include <pthread.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -43,10 +46,8 @@
 #include "net/tcp_transport.hpp"
 #include "persist/durable_store.hpp"
 #include "persist/storage.hpp"
-#include "server/shadow_server.hpp"
 #include "server/sharded_server.hpp"
 #include "util/logging.hpp"
-#include "util/strings.hpp"
 
 using namespace shadow;
 
@@ -98,7 +99,6 @@ int main(int argc, char** argv) {
   bool once = false;
   std::size_t threads = 1;
   u64 drain_deadline_us = 5'000'000;
-  std::string state_path;
   std::string journal_dir;
   persist::GroupCommitConfig group;
   bool commit_flags = false;
@@ -199,10 +199,6 @@ int main(int argc, char** argv) {
       unsigned long long n = 0;
       if (!parse_u64("--drain-deadline", next(), &n)) return 2;
       drain_deadline_us = n;
-    } else if (arg == "--state") {
-      const char* v = next();
-      if (v == nullptr) { missing("--state"); return 2; }
-      state_path = v;
     } else if (arg == "--journal") {
       const char* v = next();
       if (v == nullptr) { missing("--journal"); return 2; }
@@ -251,7 +247,6 @@ int main(int argc, char** argv) {
       std::printf("usage: shadowd [--port N] [--name NAME] [--threads N] "
                   "[--cache-budget BYTES] [--eviction POLICY] "
                   "[--reverse-shadow] [--no-cdc] [--codec CODEC] "
-                  "[--state FILE] "
                   "[--journal DIR] [--commit-window USEC] "
                   "[--commit-batch-records N] [--commit-batch-bytes B] "
                   "[--commit-pipeline] [--lease-usec USEC] "
@@ -278,139 +273,61 @@ int main(int argc, char** argv) {
   // Drain notices go to every live connection, some of which are already
   // half-closed; a write there must fail with EPIPE, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
+  // Every thread started below (shard loops, pipelined-commit workers)
+  // inherits a mask that blocks SIGINT/SIGTERM; the main thread unblocks
+  // them before serving, so a signal always interrupts its poll.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
-  if (threads > 1) {
-    // Thread-per-core mode: N shard event loops, the main thread accepts
-    // and runs the routing lobby. --threads 1 (the default) keeps the
-    // classic single-threaded path below, byte-for-byte.
-    if (!state_path.empty()) {
-      std::fprintf(stderr, "shadowd: --state requires --threads 1 "
-                   "(sharded durability uses --journal DIR)\n");
-      return 2;
-    }
-    std::vector<std::unique_ptr<persist::FsDir>> shard_fs;
-    std::vector<std::unique_ptr<persist::DurableStore>> shard_stores;
-    std::vector<persist::DurableStore*> store_ptrs;
-    if (!journal_dir.empty()) {
-      for (std::size_t i = 0; i < threads; ++i) {
-        shard_fs.push_back(std::make_unique<persist::FsDir>(
-            journal_dir + "/shard" + std::to_string(i)));
-        shard_stores.push_back(
-            std::make_unique<persist::DurableStore>(shard_fs.back().get()));
-        shard_stores.back()->set_group_commit(group);
-        store_ptrs.push_back(shard_stores.back().get());
-      }
-    }
-    server::ShardedServer sharded(config, threads, store_ptrs);
-    if (!store_ptrs.empty()) {
-      if (auto st = sharded.recover_all(); st.ok()) {
-        const auto stats = sharded.aggregate_stats();
-        std::printf("shadowd: recovered %zu shards from %s "
-                    "(%llu journal records, %llu requeued jobs)\n",
-                    threads, journal_dir.c_str(),
-                    static_cast<unsigned long long>(stats.recovered_records),
-                    static_cast<unsigned long long>(stats.requeued_jobs));
-      } else {
-        std::fprintf(stderr, "shadowd: cannot recover from %s: %s\n",
-                     journal_dir.c_str(), st.to_string().c_str());
+  std::vector<std::unique_ptr<persist::FsDir>> shard_fs;
+  std::vector<std::unique_ptr<persist::DurableStore>> shard_stores;
+  std::vector<persist::DurableStore*> store_ptrs;
+  if (!journal_dir.empty()) {
+    // Every shard journals under DIR/shard<i>/. A journal or snapshot at
+    // the top of DIR was written for the layout before shards; starting
+    // empty beside it would silently lose acked state.
+    for (const char* name : {persist::DurableStore::kJournalName,
+                             persist::DurableStore::kSnapshotName}) {
+      const std::string top = journal_dir + "/" + name;
+      if (::access(top.c_str(), F_OK) == 0) {
+        std::fprintf(stderr,
+                     "shadowd: %s is outside the shard layout; move it to "
+                     "%s/shard0/ and restart\n",
+                     top.c_str(), journal_dir.c_str());
         return 1;
       }
     }
-    net::TcpListener listener;
-    if (auto st = listener.listen(port); !st.ok()) {
-      std::fprintf(stderr, "shadowd: %s\n", st.to_string().c_str());
-      return 1;
+    for (std::size_t i = 0; i < threads; ++i) {
+      shard_fs.push_back(std::make_unique<persist::FsDir>(
+          journal_dir + "/shard" + std::to_string(i)));
+      shard_stores.push_back(
+          std::make_unique<persist::DurableStore>(shard_fs.back().get()));
+      shard_stores.back()->set_group_commit(group);
+      store_ptrs.push_back(shard_stores.back().get());
     }
-    sharded.start_threads();
-    std::printf("shadowd: %s listening on 127.0.0.1:%u (%zu shards)\n",
-                config.name.c_str(), listener.port(), threads);
-    std::fflush(stdout);
-
-    bool had_client = false;
-    while (g_stop == 0) {
-      if (auto accepted = listener.accept(); accepted.ok()) {
-        std::printf("shadowd: client connected\n");
-        std::fflush(stdout);
-        sharded.adopt_tcp(std::move(accepted).take());
-        had_client = true;
-      }
-      const std::size_t moved = sharded.poll_lobby();
-      if (once && had_client && sharded.live_connections() == 0) break;
-      if (moved == 0) ::usleep(2000);
-    }
-
-    if (g_stop != 0) {
-      // Graceful drain: tell every connected v1 client, flush the open
-      // group-commit windows, and keep answering late dialers with
-      // ServerBusy(draining) until the deadline. A second signal (or
-      // the deadline) forces the exit; stop_threads() below still syncs
-      // whatever the journal already holds.
-      sharded.begin_drain();
-      std::printf("shadowd: draining (deadline %llu us)\n",
-                  static_cast<unsigned long long>(drain_deadline_us));
-      std::fflush(stdout);
-      const u64 t0 = steady_micros();
-      bool drained = false;
-      while (g_stop < 2 && steady_micros() - t0 < drain_deadline_us) {
-        if (auto accepted = listener.accept(); accepted.ok()) {
-          sharded.adopt_tcp(std::move(accepted).take());
-        }
-        sharded.poll_lobby();
-        if (sharded.drain_complete()) { drained = true; break; }
-        ::usleep(2000);
-      }
-      if (drained || sharded.drain_complete()) {
-        std::printf("shadowd: drained cleanly in %llu us\n",
-                    static_cast<unsigned long long>(steady_micros() - t0));
-      } else {
-        std::fprintf(stderr, "shadowd: drain deadline passed with persist "
-                     "work still pending; exiting anyway\n");
-      }
-    }
-    sharded.stop_threads();
-
-    const auto stats = sharded.aggregate_stats();
-    std::printf("shadowd: exiting; %llu updates received (%llu full, %llu "
-                "delta), %llu jobs completed\n",
-                static_cast<unsigned long long>(stats.updates_received),
-                static_cast<unsigned long long>(stats.full_transfers),
-                static_cast<unsigned long long>(stats.delta_transfers),
-                static_cast<unsigned long long>(stats.jobs_completed));
-    return 0;
   }
-
-  std::unique_ptr<persist::FsDir> journal_fs;
-  std::unique_ptr<persist::DurableStore> store;
-  if (!journal_dir.empty()) {
-    journal_fs = std::make_unique<persist::FsDir>(journal_dir);
-    store = std::make_unique<persist::DurableStore>(journal_fs.get());
-    store->set_group_commit(group);
-  }
-  server::ShadowServer server(config, nullptr, store.get());
-  if (store != nullptr) {
-    if (auto st = server.recover_from_storage(); st.ok()) {
-      std::printf("shadowd: recovered from %s (%zu cached files, "
-                  "%llu journal records, %llu requeued jobs)\n",
-                  journal_dir.c_str(), server.file_cache().entry_count(),
-                  static_cast<unsigned long long>(
-                      server.stats().recovered_records),
-                  static_cast<unsigned long long>(
-                      server.stats().requeued_jobs));
+  server::ShardedServer sharded(config, threads, store_ptrs);
+  if (!store_ptrs.empty()) {
+    if (auto st = sharded.recover_all(); st.ok()) {
+      const auto stats = sharded.aggregate_stats();
+      std::size_t cached = 0;
+      for (std::size_t i = 0; i < threads; ++i) {
+        cached += sharded.shard(i).file_cache().entry_count();
+      }
+      std::printf("shadowd: recovered %zu shards from %s "
+                  "(%llu journal records, %llu requeued jobs, "
+                  "%zu cached files)\n",
+                  threads, journal_dir.c_str(),
+                  static_cast<unsigned long long>(stats.recovered_records),
+                  static_cast<unsigned long long>(stats.requeued_jobs),
+                  cached);
     } else {
       std::fprintf(stderr, "shadowd: cannot recover from %s: %s\n",
                    journal_dir.c_str(), st.to_string().c_str());
       return 1;
-    }
-  }
-  if (!state_path.empty()) {
-    if (auto snapshot = read_disk_file(state_path); snapshot.ok()) {
-      if (auto st = server.restore_state(snapshot.value()); st.ok()) {
-        std::printf("shadowd: restored state from %s (%zu cached files)\n",
-                    state_path.c_str(), server.file_cache().entry_count());
-      } else {
-        std::fprintf(stderr, "shadowd: ignoring bad snapshot %s: %s\n",
-                     state_path.c_str(), st.to_string().c_str());
-      }
     }
   }
   net::TcpListener listener;
@@ -418,60 +335,40 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "shadowd: %s\n", st.to_string().c_str());
     return 1;
   }
-  std::printf("shadowd: %s listening on 127.0.0.1:%u\n",
-              config.name.c_str(), listener.port());
+  sharded.start_threads();
+  pthread_sigmask(SIG_UNBLOCK, &stop_signals, nullptr);
+  std::printf("shadowd: %s listening on 127.0.0.1:%u (%zu shards)\n",
+              config.name.c_str(), listener.port(), threads);
   std::fflush(stdout);
 
-  std::vector<std::unique_ptr<net::TcpTransport>> connections;
-  bool had_client = false;
-  u64 last_lease_sweep = steady_micros();
-  while (g_stop == 0) {
-    if (auto accepted = listener.accept(); accepted.ok()) {
+  u64 announced = 0;
+  sharded.serve(listener, [&] {
+    for (; announced < sharded.accepted(); ++announced) {
       std::printf("shadowd: client connected\n");
       std::fflush(stdout);
-      server.attach(accepted.value().get());
-      connections.push_back(std::move(accepted).take());
-      had_client = true;
     }
-    std::size_t moved = 0;
-    bool all_closed = !connections.empty();
-    for (auto& conn : connections) {
-      moved += conn->poll();
-      if (!conn->closed()) all_closed = false;
-    }
-    moved += server.pump_persist();
-    // The classic path has no event-loop idle hook, so lease expiry and
-    // doomed-connection reaping run on a coarse timer here instead.
-    if (const u64 now = steady_micros(); now - last_lease_sweep >= 50'000) {
-      last_lease_sweep = now;
-      server.expire_leases();
-      server.reap_doomed();
-    }
-    if (once && had_client && all_closed) break;
-    if (moved == 0) ::usleep(2000);
-  }
+    return g_stop != 0 ||
+           (once && announced > 0 && sharded.live_connections() == 0);
+  });
 
   if (g_stop != 0) {
-    // Graceful drain, single-threaded flavor: ServerBusy(draining) to
-    // every v1 session, then keep polling so the notices flush and the
-    // journal's open commit window reaches the disk.
-    server.begin_drain();
+    // Graceful drain: tell every connected v1 client, flush the open
+    // group-commit windows, and keep answering late dialers with
+    // ServerBusy(draining) until every notice has left its queue and
+    // every parked ack is durable. A second signal (or the deadline)
+    // forces the exit; stop_threads() below still syncs whatever the
+    // journal already holds.
+    sharded.begin_drain();
     std::printf("shadowd: draining (deadline %llu us)\n",
                 static_cast<unsigned long long>(drain_deadline_us));
     std::fflush(stdout);
     const u64 t0 = steady_micros();
     bool drained = false;
-    while (g_stop < 2 && steady_micros() - t0 < drain_deadline_us) {
-      std::size_t moved = 0;
-      for (auto& conn : connections) moved += conn->poll();
-      moved += server.pump_persist();
-      server.reap_doomed();
-      if (server.drain_complete() && server.total_queued_bytes() == 0) {
-        drained = true;
-        break;
-      }
-      if (moved == 0) ::usleep(1000);
-    }
+    sharded.serve(listener, [&] {
+      drained = sharded.drain_complete();
+      return drained || g_stop >= 2 ||
+             steady_micros() - t0 >= drain_deadline_us;
+    });
     if (drained) {
       std::printf("shadowd: drained cleanly in %llu us\n",
                   static_cast<unsigned long long>(steady_micros() - t0));
@@ -480,17 +377,9 @@ int main(int argc, char** argv) {
                    "still pending; exiting anyway\n");
     }
   }
+  sharded.stop_threads();
 
-  if (!state_path.empty()) {
-    if (auto st = write_disk_file(state_path, server.save_state());
-        st.ok()) {
-      std::printf("shadowd: state saved to %s\n", state_path.c_str());
-    } else {
-      std::fprintf(stderr, "shadowd: failed to save state: %s\n",
-                   st.to_string().c_str());
-    }
-  }
-  const auto& stats = server.stats();
+  const auto stats = sharded.aggregate_stats();
   std::printf("shadowd: exiting; %llu updates received (%llu full, %llu "
               "delta), %llu jobs completed\n",
               static_cast<unsigned long long>(stats.updates_received),
