@@ -95,8 +95,38 @@ const DomainDirectory* DomainMap::find(const std::string& domain_id) const {
   return it == domains_.end() ? nullptr : &it->second;
 }
 
+namespace {
+std::string make_cache_key(const std::string& domain, ShadowId sid) {
+  return domain + "/" + std::to_string(sid);
+}
+}  // namespace
+
 std::string DomainMap::cache_key(const GlobalFileId& id) {
-  return id.domain + "/" + std::to_string(domain(id.domain).intern(id));
+  return make_cache_key(id.domain, domain(id.domain).intern(id));
+}
+
+std::optional<std::string> DomainMap::find_cache_key(
+    const GlobalFileId& id) const {
+  const DomainDirectory* dir = find(id.domain);
+  if (dir == nullptr) return std::nullopt;
+  const auto sid = dir->lookup(id);
+  if (!sid) return std::nullopt;
+  return make_cache_key(id.domain, *sid);
+}
+
+std::optional<ShadowId> DomainMap::parse_cache_key(const std::string& key) {
+  const auto slash = key.rfind('/');
+  if (slash == std::string::npos || slash + 1 >= key.size()) {
+    return std::nullopt;
+  }
+  ShadowId sid = 0;
+  for (std::size_t i = slash + 1; i < key.size(); ++i) {
+    const char c = key[i];
+    if (c < '0' || c > '9') return std::nullopt;
+    if (sid > (~u64{0} - (c - '0')) / 10) return std::nullopt;  // overflow
+    sid = sid * 10 + static_cast<u64>(c - '0');
+  }
+  return sid;
 }
 
 void DomainMap::bind(const GlobalFileId& id, ShadowId sid) {

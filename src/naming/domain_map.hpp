@@ -52,8 +52,13 @@ class DomainMap {
   DomainDirectory& domain(const std::string& domain_id);
   const DomainDirectory* find(const std::string& domain_id) const;
 
-  /// Globally usable cache key: "<domain>/<shadow-id>".
+  /// Globally usable cache key: "<domain>/<shadow-id>". Interns the file
+  /// on first sight.
   std::string cache_key(const GlobalFileId& id);
+  /// Cache key of a file already interned, or nullopt (never interns).
+  std::optional<std::string> find_cache_key(const GlobalFileId& id) const;
+  /// The shadow id a cache key encodes, or nullopt for a malformed key.
+  static std::optional<ShadowId> parse_cache_key(const std::string& key);
 
   /// Restore a mapping in the file's domain (journal replay).
   void bind(const GlobalFileId& id, ShadowId sid);

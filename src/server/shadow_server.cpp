@@ -49,32 +49,6 @@ ShadowServer::~ShadowServer() {
   if (store_ != nullptr) store_->drop_pending();
 }
 
-bool ShadowServer::persist_append(persist::RecordType type, Bytes body) {
-  if (store_ == nullptr) return true;
-  if (persist_dead_) return false;
-  Status st = store_->append(type, body);
-  if (!st.ok()) {
-    mark_persist_dead(type, st);
-    return false;
-  }
-  ++stats_.journal_appends;
-  if (store_->compaction_due()) {
-    Status cs = store_->compact(save_state());
-    if (!cs.ok()) {
-      // The record itself is already durable (the append fsynced), so the
-      // caller may still acknowledge — but no further promises.
-      persist_dead_ = true;
-      ++stats_.journal_failures;
-      SHADOW_WARN() << config_.name
-                    << ": compaction failed: " << cs.to_string();
-    } else {
-      ++stats_.compactions;
-      record_event(telemetry::EventKind::kJournal, "journal compacted");
-    }
-  }
-  return true;
-}
-
 void ShadowServer::mark_persist_dead(persist::RecordType type,
                                      const Status& st) {
   ++stats_.journal_failures;
@@ -94,14 +68,7 @@ void ShadowServer::persist_append_then(persist::RecordType type, Bytes body,
     return;
   }
   if (persist_dead_) return;
-  if (!store_->group_commit().enabled()) {
-    // Classic sync-per-record: durable (or dead) before we return, the
-    // continuation runs inline — ordering identical to the pre-group-
-    // commit server.
-    if (persist_append(type, std::move(body)) && on_durable) on_durable();
-    return;
-  }
-  if (on_durable) ++stats_.acks_deferred;
+  const bool gating = static_cast<bool>(on_durable);
   (void)store_->append_deferred(
       type, body, [this, type, cb = std::move(on_durable)](const Status& st) {
         if (st.ok()) {
@@ -111,18 +78,24 @@ void ShadowServer::persist_append_then(persist::RecordType type, Bytes body,
         }
         mark_persist_dead(type, st);
       });
+  if (store_->pending_records() == 0) {
+    // Resolved before append_deferred returned (commit window 0, or the
+    // record sealed its batch at a cap): the continuation has run, so
+    // this is the point between batches where a due compaction belongs.
+    maybe_compact_persist();
+    return;
+  }
+  if (gating) ++stats_.acks_deferred;
   schedule_window_flush();
 }
 
 void ShadowServer::schedule_window_flush() {
-  const auto& gc = store_->group_commit();
-  if (store_->pending_records() == 0) return;  // sealed at a cap already
   if (sim_ != nullptr) {
     // Simulated time: one flush per window, armed by the record that
     // opens it (the same self-scheduling shape as the load monitor).
     if (persist_flush_scheduled_) return;
     persist_flush_scheduled_ = true;
-    sim_->schedule(gc.window_us, [this] {
+    sim_->schedule(store_->group_commit().window_us, [this] {
       persist_flush_scheduled_ = false;
       flush_persist();
     });
@@ -133,7 +106,7 @@ void ShadowServer::schedule_window_flush() {
 }
 
 void ShadowServer::flush_persist() {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return;
+  if (store_ == nullptr) return;
   persist_window_open_ = false;
   if (store_->pending_records() > 0) ++stats_.persist_flushes;
   (void)store_->flush();  // failures surface through per-record callbacks
@@ -142,14 +115,14 @@ void ShadowServer::flush_persist() {
 }
 
 void ShadowServer::wait_persist_idle() {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return;
+  if (store_ == nullptr) return;
   persist_window_open_ = false;
   store_->wait_idle();
   maybe_compact_persist();
 }
 
 std::size_t ShadowServer::pump_persist() {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return 0;
+  if (store_ == nullptr) return 0;
   std::size_t work = store_->drain();
   if (persist_window_open_ && sim_ == nullptr &&
       steady_micros() - persist_window_start_us_ >=
@@ -163,10 +136,7 @@ std::size_t ShadowServer::pump_persist() {
 }
 
 int ShadowServer::persist_poll_hint_ms() const {
-  if (store_ == nullptr || !store_->group_commit().enabled() ||
-      sim_ != nullptr) {
-    return -1;
-  }
+  if (store_ == nullptr || sim_ != nullptr) return -1;
   if (store_->sync_in_flight()) return 1;
   if (!persist_window_open_) return -1;
   const u64 elapsed = steady_micros() - persist_window_start_us_;
@@ -181,15 +151,21 @@ void ShadowServer::maybe_compact_persist() {
   // Only between batches: compaction must never sit between a client's
   // update and its ack. pump_persist() retries at the next idle round.
   if (store_->pending_records() > 0 || store_->sync_in_flight()) return;
+  compact_persist();
+}
+
+void ShadowServer::compact_persist() {
   Status cs = store_->compact(save_state());
   if (!cs.ok()) {
+    // Every record already journaled stays durable, but no further
+    // promises: the server stops acking.
     persist_dead_ = true;
     ++stats_.journal_failures;
     SHADOW_WARN() << config_.name << ": compaction failed: " << cs.to_string();
-  } else {
-    ++stats_.compactions;
-    record_event(telemetry::EventKind::kJournal, "journal compacted");
+    return;
   }
+  ++stats_.compactions;
+  record_event(telemetry::EventKind::kJournal, "journal compacted");
 }
 
 void ShadowServer::send_if_attached(Connection* conn,
@@ -203,44 +179,6 @@ void ShadowServer::send_if_attached(Connection* conn,
   }
   // The connection went away while its batch was syncing; the client
   // re-offers after reconnecting, so dropping the ack is safe.
-}
-
-Bytes ShadowServer::cached_record_body(const FileState& state, u64 version,
-                                       u32 crc,
-                                       const std::string& content) {
-  BufWriter w;
-  state.id.encode(w);
-  w.put_string(state.cache_key);
-  w.put_varint(version);
-  w.put_u32(crc);
-  w.put_string(content);
-  w.put_string(state.owner_client);
-  return w.take();
-}
-
-Bytes ShadowServer::digest_record_body(const FileState& state, u64 version,
-                                       u32 crc,
-                                       const cdc::Signature& signature) {
-  BufWriter w;
-  state.id.encode(w);
-  w.put_string(state.cache_key);
-  w.put_varint(version);
-  w.put_u32(crc);
-  signature.encode(w);
-  w.put_string(state.owner_client);
-  return w.take();
-}
-
-Bytes ShadowServer::finished_record_body(const job::JobRecord& record) {
-  BufWriter w;
-  w.put_varint(record.job_id);
-  w.put_u8(static_cast<u8>(record.state));
-  w.put_varint_signed(record.exit_code);
-  w.put_string(record.output_content);
-  w.put_string(record.error_content);
-  w.put_varint(record.cpu_cost);
-  w.put_string(record.detail);
-  return w.take();
 }
 
 void ShadowServer::persist_eviction(const std::string& cache_key) {
@@ -361,11 +299,7 @@ std::size_t ShadowServer::reap_doomed() {
       // them so a plain (non-reliable-session) reconnect's re-announce
       // pulls again instead of waiting forever on a dead request.
       for (auto& [key, state] : files_) {
-        if (state.owner_client != raw->client_name) continue;
-        if (state.pull_outstanding == 0) continue;
-        state.pull_outstanding = 0;
-        if (outstanding_pulls_ > 0) --outstanding_pulls_;
-        state.pull_wanted = true;
+        if (state.owner_client == raw->client_name) rearm_pull(state);
       }
     }
     it = connections_.erase(it);
@@ -449,7 +383,7 @@ void ShadowServer::begin_drain() {
 }
 
 bool ShadowServer::drain_complete() const {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return true;
+  if (store_ == nullptr) return true;
   return store_->pending_records() == 0 && !store_->sync_in_flight();
 }
 
@@ -496,23 +430,9 @@ void ShadowServer::resync_connection(Connection* conn) {
   // was in flight (the request or its answer may be gone) and re-deliver
   // outputs the client never acknowledged; duplicates are harmless — the
   // client's handlers are idempotent and nack what it cannot apply.
-  for (auto& [key, state] : files_) {
-    if (state.pull_outstanding != 0) {
-      state.pull_outstanding = 0;
-      if (outstanding_pulls_ > 0) --outstanding_pulls_;
-      state.pull_wanted = true;
-    }
-  }
+  for (auto& [key, state] : files_) rearm_pull(state);
   drain_deferred_pulls();
-  if (!conn->client_name.empty()) {
-    for (auto& [id, record] : queue_.all_mutable()) {
-      if (record.client_name != conn->client_name) continue;
-      if (record.state == proto::JobState::kCompleted ||
-          record.state == proto::JobState::kFailed) {
-        deliver_output(record);
-      }
-    }
-  }
+  if (!conn->client_name.empty()) redeliver_outputs(conn->client_name);
   schedule_jobs();
 }
 
@@ -682,13 +602,7 @@ void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
   // Results that finished while the client was away (e.g. the server was
   // restarted from its journal): deliver now that there is a connection.
   // Harmless on a first-ever Hello — the queue has nothing for this name.
-  for (auto& [id, record] : queue_.all_mutable()) {
-    if (record.client_name != m.client_name) continue;
-    if (record.state == proto::JobState::kCompleted ||
-        record.state == proto::JobState::kFailed) {
-      deliver_output(record);
-    }
-  }
+  redeliver_outputs(m.client_name);
   schedule_jobs();
 }
 
@@ -710,13 +624,7 @@ void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
   if ((owner_changed &&
        (m.crc != state.latest_crc || m.size != state.latest_size)) ||
       client_restarted) {
-    cache_.erase(state.cache_key);
-    persist_eviction(state.cache_key);
-    state.latest_known = 0;
-    if (state.pull_outstanding != 0 && outstanding_pulls_ > 0) {
-      --outstanding_pulls_;
-    }
-    state.pull_outstanding = 0;
+    restart_history(state);
   }
   if (m.version > state.latest_known) {
     state.latest_known = m.version;
@@ -727,6 +635,23 @@ void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
   if (config_.pull_policy == PullPolicy::kEager) {
     maybe_pull(state);
   }
+}
+
+void ShadowServer::restart_history(FileState& state) {
+  cache_.erase(state.cache_key);
+  persist_eviction(state.cache_key);
+  state.latest_known = 0;
+  if (state.pull_outstanding != 0 && outstanding_pulls_ > 0) {
+    --outstanding_pulls_;
+  }
+  state.pull_outstanding = 0;
+}
+
+void ShadowServer::rearm_pull(FileState& state) {
+  if (state.pull_outstanding == 0) return;
+  state.pull_outstanding = 0;
+  if (outstanding_pulls_ > 0) --outstanding_pulls_;
+  state.pull_wanted = true;
 }
 
 void ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
@@ -803,120 +728,67 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   }
 
   // Unwrap compression, then the delta.
-  auto raw = compress::decompress(m.payload);
-  if (!raw.ok()) {
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = raw.error().to_string();
-    send(conn, nack);
+  auto decoded = [&]() -> Result<diff::Delta> {
+    SHADOW_ASSIGN_OR_RETURN(raw, compress::decompress(m.payload));
+    BufReader reader(raw);
+    SHADOW_ASSIGN_OR_RETURN(delta, diff::Delta::decode(reader));
+    if (!reader.at_end()) {
+      return Error{ErrorCode::kProtocolError,
+                   "trailing bytes after delta payload"};
+    }
+    return delta;
+  }();
+  if (!decoded.ok()) {
+    nack_update(conn, m, decoded.error().to_string());
     return;
   }
-  BufReader reader(raw.value());
-  auto delta = diff::Delta::decode(reader);
-  if (delta.ok() && !reader.at_end()) {
-    delta = Error{ErrorCode::kProtocolError,
-                  "trailing bytes after delta payload"};
-  }
-  if (!delta.ok()) {
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = delta.error().to_string();
-    send(conn, nack);
-    return;
-  }
-
-  // CDC deltas never materialize content on the server: they advance the
-  // file's chunk-digest signature instead (per-user memory O(digests)).
-  if (delta.value().format == diff::Delta::Format::kCdc) {
-    handle_cdc_update(conn, m, state, delta.value());
-    return;
-  }
-
-  std::string content;
-  if (delta.value().needs_base()) {
+  const diff::Delta& delta = decoded.value();
+  const bool cdc = delta.format == diff::Delta::Format::kCdc;
+  if (cdc) ++stats_.cdc_transfers;
+  if (cdc || delta.needs_base()) {
     ++stats_.delta_transfers;
-    auto base = cache_.get(state.cache_key);
-    if (!base.ok() || base.value()->version != m.base_version ||
-        !base.value()->has_bytes()) {
-      // Best-effort cache lost the base (or holds the wrong one, or holds
-      // only its digests — a line delta cannot apply to a signature):
-      // fall back to a full transfer (§5.1). No ack — the re-pull
-      // supersedes.
-      SHADOW_DEBUG() << config_.name << ": base v" << m.base_version
-                     << " unavailable for " << m.file.display()
-                     << "; re-pulling full";
-      proto::PullRequest pull;
-      pull.file = m.file;
-      pull.have_version = 0;
-      pull.want_version = m.new_version;
-      state.pull_outstanding = m.new_version;
-      ++outstanding_pulls_;
-      ++stats_.pulls_sent;
-      send(conn, pull);
-      return;
-    }
-    auto applied = delta.value().apply(base.value()->content);
-    if (!applied.ok()) {
-      proto::PullRequest pull;
-      pull.file = m.file;
-      pull.have_version = 0;
-      pull.want_version = m.new_version;
-      state.pull_outstanding = m.new_version;
-      ++outstanding_pulls_;
-      ++stats_.pulls_sent;
-      send(conn, pull);
-      return;
-    }
-    content = std::move(applied).take();
   } else {
     ++stats_.full_transfers;
-    // apply() on a full-content delta verifies full_crc — bit flips inside
-    // the content survive decode, so skipping this would cache bad bytes.
-    auto verified = delta.value().apply(std::string());
-    if (!verified.ok()) {
-      proto::UpdateAck nack;
-      nack.file = m.file;
-      nack.version = m.new_version;
-      nack.ok = false;
-      nack.error = verified.error().to_string();
-      send(conn, nack);
-      return;
-    }
-    content = std::move(verified).take();
   }
 
-  // apply() verified `content` against the delta's target CRC; reuse it
-  // rather than hashing the file a third time on this hop.
-  const u32 content_crc = delta.value().target_crc();
+  // A CDC delta never materializes content on the server: it advances the
+  // file's chunk-digest signature instead (per-user memory O(digests)).
+  // Every other delta rebuilds the content.
+  std::optional<cdc::Signature> signature;
+  std::optional<std::string> content;
+  if (cdc) {
+    signature = advance_signature(conn, state, m, delta.cdc);
+    if (!signature) return;
+  } else {
+    content = apply_delta(conn, state, m, delta);
+    if (!content) return;
+  }
+  // Both verified the result against the delta's target CRC; reuse it
+  // rather than hashing the file again on this hop.
+  const u32 crc = delta.target_crc();
+  const u64 size = cdc ? delta.cdc.target_bytes : content->size();
+
   // The notify for this exact version told us its CRC. A mismatch means
   // the payload was damaged in flight yet still decoded (bit flips inside
   // the delta text): nack so the client resends full — never cache bad
   // bytes.
   if (m.new_version == state.latest_known && state.latest_crc != 0 &&
-      content_crc != state.latest_crc) {
+      crc != state.latest_crc) {
     // One shot only: the RECORDED crc may itself be the corrupted half
     // (a damaged notify). The nacked client resends full content, whose
     // own delta CRC vouches for it; accept that resend.
     state.latest_crc = 0;
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = "content crc mismatch";
-    send(conn, nack);
+    nack_update(conn, m, "content crc mismatch");
     return;
   }
   if (m.new_version > state.latest_known) {
     state.latest_known = m.new_version;
-    state.latest_size = content.size();
-    state.latest_crc = content_crc;
+    state.latest_size = size;
+    state.latest_crc = crc;
   }
 
-  // Pin the content if an active job needs it and the cache may refuse it.
+  // Pin the bytes if a waiting job needs them and the cache will not hold
+  // them.
   bool needed_by_job = false;
   for (const auto& [id, record] : queue_.all()) {
     if (record.state != proto::JobState::kQueued &&
@@ -924,66 +796,69 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
       continue;
     }
     for (const auto& ref : record.files) {
-      if (domains_.cache_key(ref.file) == state.cache_key &&
-          m.new_version >= ref.version) {
-        needed_by_job = true;
-      }
+      needed_by_job = needed_by_job ||
+                      (m.new_version >= ref.version &&
+                       domains_.find_cache_key(ref.file) == state.cache_key);
     }
   }
+
   // A CDC-tracked file stays digest-only even when full content arrives
   // (a materialize pull for a job, or a full-transfer fallback): the
   // server re-digests and keeps O(digests) resident; the bytes go to the
   // job pin, never the cache.
   const cache::CacheEntry* existing = cache_.peek(state.cache_key);
-  if (existing != nullptr && !existing->has_bytes()) {
-    const cdc::ChunkerParams params = existing->signature.params.valid()
-                                          ? existing->signature.params
-                                          : cdc::ChunkerParams{};
-    cdc::Signature sig = cdc::signature_of(content, params);
-    Bytes body = digest_record_body(state, m.new_version, content_crc, sig);
-    if (needed_by_job) {
-      pinned_[state.cache_key] = PinnedFile{m.new_version, content};
+  const bool digest = cdc || (existing != nullptr && !existing->has_bytes());
+  if (!cdc && digest) {
+    signature = cdc::signature_of(*content,
+                                  existing->signature.params.valid()
+                                      ? existing->signature.params
+                                      : cdc::ChunkerParams{});
+  }
+  // The kShadowCached / kShadowDigest body replay_record() decodes.
+  BufWriter body;
+  state.id.encode(body);
+  body.put_string(state.cache_key);
+  body.put_varint(m.new_version);
+  body.put_u32(crc);
+  if (digest) {
+    signature->encode(body);
+  } else {
+    body.put_string(*content);
+  }
+  body.put_string(state.owner_client);
+
+  if (digest) {
+    if (needed_by_job && cdc) {
+      pin_cdc_target(state, m, delta.cdc);
+    } else if (needed_by_job) {
+      pinned_[state.cache_key] = PinnedFile{m.new_version, std::move(*content)};
     }
-    (void)cache_.put_digest(state.cache_key, m.new_version, std::move(sig),
-                            content_crc);
+    (void)cache_.put_digest(state.cache_key, m.new_version,
+                            std::move(*signature), crc);
     record_event(telemetry::EventKind::kCache,
-                 "re-digested " + state.cache_key + " v" +
+                 (cdc ? "digest " : "re-digested ") + state.cache_key + " v" +
                      std::to_string(m.new_version) + " (" +
-                     std::to_string(content.size()) + " bytes)");
-    persist_append_then(
-        persist::RecordType::kShadowDigest, std::move(body),
-        [this, conn, client = conn->client_name, file = m.file,
-         version = m.new_version] {
-          proto::UpdateAck ack;
-          ack.file = file;
-          ack.version = version;
-          ack.ok = true;
-          send_if_attached(conn, client, ack);
-          drain_deferred_pulls();
-          schedule_jobs();
-        });
-    return;
+                     std::to_string(size) +
+                     (cdc ? " bytes described)" : " bytes)"));
+  } else {
+    Status put = cache_.put(state.cache_key, m.new_version, *content, crc);
+    if (!put.ok() && needed_by_job) {
+      pinned_[state.cache_key] = PinnedFile{m.new_version, std::move(*content)};
+    }
+    record_event(telemetry::EventKind::kCache,
+                 (put.ok() ? "cached " : "cache refused ") + state.cache_key +
+                     " v" + std::to_string(m.new_version) + " (" +
+                     std::to_string(size) + " bytes)");
   }
 
-  Status put =
-      cache_.put(state.cache_key, m.new_version, content, content_crc);
-  if (!put.ok() && needed_by_job) {
-    pinned_[state.cache_key] = PinnedFile{m.new_version, content};
-  }
-  record_event(telemetry::EventKind::kCache,
-               (put.ok() ? "cached " : "cache refused ") + state.cache_key +
-                   " v" + std::to_string(m.new_version) + " (" +
-                   std::to_string(content.size()) + " bytes)");
-
-  // The write-ahead rule: the ack below is a durability promise, so the
-  // record must hit the journal (and survive its fsync) first. A refused
-  // append means no ack — the client keeps the version and re-offers it
-  // after reconnecting. Under group commit the record is written now and
-  // the continuation waits for the batch fsync; classic mode runs it
-  // inline.
+  // The write-ahead rule: the ack is a durability promise, so the record
+  // must hit the journal (and survive its fsync) first. A refused append
+  // means no ack — the client keeps the version and re-offers it after
+  // reconnecting.
   persist_append_then(
-      persist::RecordType::kShadowCached,
-      cached_record_body(state, m.new_version, content_crc, content),
+      digest ? persist::RecordType::kShadowDigest
+             : persist::RecordType::kShadowCached,
+      body.take(),
       [this, conn, client = conn->client_name, file = m.file,
        version = m.new_version] {
         proto::UpdateAck ack;
@@ -996,141 +871,116 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
       });
 }
 
-void ShadowServer::handle_cdc_update(Connection* conn, const proto::Update& m,
-                                     FileState& state,
-                                     const diff::Delta& delta) {
-  ++stats_.delta_transfers;
-  ++stats_.cdc_transfers;
-  const cdc::CdcDelta& d = delta.cdc;
+std::optional<std::string> ShadowServer::apply_delta(
+    Connection* conn, FileState& state, const proto::Update& m,
+    const diff::Delta& delta) {
+  if (!delta.needs_base()) {
+    // apply() on a full-content delta verifies full_crc — bit flips inside
+    // the content survive decode, so skipping this would cache bad bytes.
+    auto verified = delta.apply(std::string());
+    if (!verified.ok()) {
+      nack_update(conn, m, verified.error().to_string());
+      return std::nullopt;
+    }
+    return std::move(verified).take();
+  }
+  // The best-effort cache may have lost the base, hold the wrong one, or
+  // hold only its digests (a line delta cannot apply to a signature).
+  auto base = cache_.get(state.cache_key);
+  if (!base.ok() || base.value()->version != m.base_version ||
+      !base.value()->has_bytes()) {
+    repull_full(conn, state, m);
+    return std::nullopt;
+  }
+  auto applied = delta.apply(base.value()->content);
+  if (!applied.ok()) {
+    repull_full(conn, state, m);
+    return std::nullopt;
+  }
+  return std::move(applied).take();
+}
 
+std::optional<cdc::Signature> ShadowServer::advance_signature(
+    Connection* conn, FileState& state, const proto::Update& m,
+    const cdc::CdcDelta& d) {
   // Resolve the base signature the copy ops reference. A digest entry IS
   // the signature; a content entry is chunked on the fly (the transition
   // put: from here on the file is digest-tracked); no copies need no base.
-  const cache::CacheEntry* entry = cache_.peek(state.cache_key);
   cdc::Signature base_sig;
   base_sig.params = d.params;
   if (d.has_copies()) {
+    const cache::CacheEntry* entry = cache_.peek(state.cache_key);
     if (entry == nullptr || entry->version != m.base_version) {
-      // Best-effort cache lost the base (or holds the wrong one): fall
-      // back to a full transfer (§5.1). No ack — the re-pull supersedes.
-      SHADOW_DEBUG() << config_.name << ": cdc base v" << m.base_version
-                     << " unavailable for " << m.file.display()
-                     << "; re-pulling full";
-      proto::PullRequest pull;
-      pull.file = m.file;
-      pull.have_version = 0;
-      pull.want_version = m.new_version;
-      state.pull_outstanding = m.new_version;
-      ++outstanding_pulls_;
-      ++stats_.pulls_sent;
-      send(conn, pull);
-      return;
+      repull_full(conn, state, m);
+      return std::nullopt;
     }
-    base_sig = entry->has_bytes()
-                   ? cdc::signature_of(entry->content, d.params)
-                   : entry->signature;
+    base_sig = entry->has_bytes() ? cdc::signature_of(entry->content, d.params)
+                                  : entry->signature;
   }
-
   // Advance digests only: copies are membership-checked against the base
   // signature, literals are digested, and the composed whole-file CRC
   // must match the sender's target CRC (the digest-mode verified apply).
   auto advanced = d.signature_after(base_sig);
   if (!advanced.ok()) {
     ++stats_.digest_advance_failures;
-    proto::PullRequest pull;
-    pull.file = m.file;
-    pull.have_version = 0;
-    pull.want_version = m.new_version;
-    state.pull_outstanding = m.new_version;
-    ++outstanding_pulls_;
-    ++stats_.pulls_sent;
-    send(conn, pull);
-    return;
+    repull_full(conn, state, m);
+    return std::nullopt;
   }
   ++stats_.digest_advances;
-  const u32 content_crc = d.target_crc;
+  return std::move(advanced).take();
+}
 
-  // Same notify-CRC cross-check as the content path, one shot only (the
-  // recorded crc may itself be the damaged half).
-  if (m.new_version == state.latest_known && state.latest_crc != 0 &&
-      content_crc != state.latest_crc) {
-    state.latest_crc = 0;
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = "content crc mismatch";
-    send(conn, nack);
-    return;
-  }
-  if (m.new_version > state.latest_known) {
-    state.latest_known = m.new_version;
-    state.latest_size = d.target_bytes;
-    state.latest_crc = content_crc;
-  }
-
+void ShadowServer::pin_cdc_target(FileState& state, const proto::Update& m,
+                                  const cdc::CdcDelta& d) {
   // Jobs need bytes, not digests. Materialize a pin when the delta alone
-  // (all literals) or the resident base content allows it; otherwise the
+  // (all literals) or resident base bytes allow it; otherwise the
   // scheduler issues a materialize pull for full content.
-  bool needed_by_job = false;
-  for (const auto& [id, record] : queue_.all()) {
-    if (record.state != proto::JobState::kQueued &&
-        record.state != proto::JobState::kWaitingFiles) {
-      continue;
-    }
-    for (const auto& ref : record.files) {
-      if (domains_.cache_key(ref.file) == state.cache_key &&
-          m.new_version >= ref.version) {
-        needed_by_job = true;
-      }
-    }
-  }
-  if (needed_by_job) {
-    Result<std::string> bytes =
-        Error{ErrorCode::kCacheMiss, "no bytes resident"};
-    if (!d.has_copies()) {
-      bytes = d.apply(std::string_view());
-    } else if (entry != nullptr && entry->has_bytes() &&
-               entry->version == m.base_version) {
-      bytes = d.apply(entry->content);
+  std::string_view base;
+  if (d.has_copies()) {
+    const cache::CacheEntry* entry = cache_.peek(state.cache_key);
+    auto pin = pinned_.find(state.cache_key);
+    if (entry != nullptr && entry->has_bytes() &&
+        entry->version == m.base_version) {
+      base = entry->content;
+    } else if (pin != pinned_.end() && pin->second.version == m.base_version) {
+      // An earlier materialize pull pinned the base bytes for a job still
+      // in the queue; advancing the pin with the delta beats re-pulling
+      // the whole file when edits race the job.
+      base = pin->second.content;
     } else {
-      // An earlier materialize pull may have pinned the base bytes for a
-      // job still in the queue; advancing the pin with the delta beats
-      // re-pulling the whole file when edits race the job.
-      auto pin = pinned_.find(state.cache_key);
-      if (pin != pinned_.end() && pin->second.version == m.base_version) {
-        bytes = d.apply(pin->second.content);
-      }
-    }
-    if (bytes.ok()) {
-      pinned_[state.cache_key] =
-          PinnedFile{m.new_version, std::move(bytes).take()};
+      return;
     }
   }
+  auto bytes = d.apply(base);
+  if (bytes.ok()) {
+    pinned_[state.cache_key] = PinnedFile{m.new_version, std::move(bytes).take()};
+  }
+}
 
-  cdc::Signature sig = std::move(advanced).take();
-  Bytes body = digest_record_body(state, m.new_version, content_crc, sig);
-  (void)cache_.put_digest(state.cache_key, m.new_version, std::move(sig),
-                          content_crc);
-  record_event(telemetry::EventKind::kCache,
-               "digest " + state.cache_key + " v" +
-                   std::to_string(m.new_version) + " (" +
-                   std::to_string(d.target_bytes) + " bytes described)");
+void ShadowServer::nack_update(Connection* conn, const proto::Update& m,
+                               std::string error) {
+  proto::UpdateAck nack;
+  nack.file = m.file;
+  nack.version = m.new_version;
+  nack.ok = false;
+  nack.error = std::move(error);
+  send(conn, nack);
+}
 
-  // Write-ahead rule, unchanged: the ack promises durability of the
-  // digest record, so it waits for the journal fsync.
-  persist_append_then(
-      persist::RecordType::kShadowDigest, std::move(body),
-      [this, conn, client = conn->client_name, file = m.file,
-       version = m.new_version] {
-        proto::UpdateAck ack;
-        ack.file = file;
-        ack.version = version;
-        ack.ok = true;
-        send_if_attached(conn, client, ack);
-        drain_deferred_pulls();
-        schedule_jobs();
-      });
+void ShadowServer::repull_full(Connection* conn, FileState& state,
+                               const proto::Update& m) {
+  // Fall back to a full transfer (§5.1). No ack — the re-pull supersedes.
+  SHADOW_DEBUG() << config_.name << ": cannot build v" << m.new_version
+                 << " of " << m.file.display() << " from base v"
+                 << m.base_version << "; re-pulling full";
+  proto::PullRequest pull;
+  pull.file = m.file;
+  pull.have_version = 0;
+  pull.want_version = m.new_version;
+  state.pull_outstanding = m.new_version;
+  ++outstanding_pulls_;
+  ++stats_.pulls_sent;
+  send(conn, pull);
 }
 
 void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
@@ -1216,13 +1066,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
     if (!state.owner_client.empty() &&
         state.owner_client != conn->client_name &&
         ref.crc != state.latest_crc) {
-      cache_.erase(state.cache_key);
-      persist_eviction(state.cache_key);
-      state.latest_known = 0;
-      if (state.pull_outstanding != 0 && outstanding_pulls_ > 0) {
-        --outstanding_pulls_;
-      }
-      state.pull_outstanding = 0;
+      restart_history(state);
     }
     if (ref.version > state.latest_known) {
       state.latest_known = ref.version;
@@ -1262,27 +1106,25 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
       });
 }
 
+const std::string* ShadowServer::resident_bytes(const std::string& key,
+                                                u64 version) const {
+  // Only entries with resident BYTES count: a digest entry tracks the
+  // version but cannot fill an executor sandbox.
+  const auto* entry = cache_.peek(key);
+  if (entry != nullptr && entry->has_bytes() && entry->version >= version) {
+    return &entry->content;
+  }
+  auto pinned = pinned_.find(key);
+  if (pinned != pinned_.end() && pinned->second.version >= version) {
+    return &pinned->second.content;
+  }
+  return nullptr;
+}
+
 bool ShadowServer::files_ready(const job::JobRecord& record) const {
   for (const auto& ref : record.files) {
-    // cache_key() interns, so use the const-safe lookup path.
-    const auto* dir = domains_.find(ref.file.domain);
-    if (dir == nullptr) return false;
-    const auto sid = dir->lookup(ref.file);
-    if (!sid) return false;
-    const std::string key =
-        ref.file.domain + "/" + std::to_string(*sid);
-    // Only entries with resident BYTES count: a digest entry tracks the
-    // version but cannot fill an executor sandbox.
-    const auto* entry = cache_.peek(key);
-    if (entry != nullptr && entry->has_bytes() &&
-        entry->version >= ref.version) {
-      continue;
-    }
-    auto pinned = pinned_.find(key);
-    if (pinned != pinned_.end() && pinned->second.version >= ref.version) {
-      continue;
-    }
-    return false;
+    const auto key = domains_.find_cache_key(ref.file);
+    if (!key || resident_bytes(*key, ref.version) == nullptr) return false;
   }
   return true;
 }
@@ -1317,15 +1159,9 @@ void ShadowServer::start_job(job::JobRecord& record) {
   std::map<std::string, std::string> sandbox;
   for (const auto& ref : record.files) {
     const std::string key = domains_.cache_key(ref.file);
-    auto cached = cache_.get(key);
-    if (cached.ok() && cached.value()->has_bytes() &&
-        cached.value()->version >= ref.version) {
-      sandbox[ref.local_name] = cached.value()->content;
-      continue;
-    }
-    auto pinned = pinned_.find(key);
-    if (pinned != pinned_.end() && pinned->second.version >= ref.version) {
-      sandbox[ref.local_name] = pinned->second.content;
+    (void)cache_.get(key);  // a job start is a cache access (recency, hits)
+    if (const std::string* bytes = resident_bytes(key, ref.version)) {
+      sandbox[ref.local_name] = *bytes;
       continue;
     }
     // Evicted between readiness check and start (or resident as digests
@@ -1407,8 +1243,16 @@ void ShadowServer::finish_job(u64 job_id, job::ExecutionResult result) {
   // JobOutputAck would otherwise mark delivered a result a crashed server
   // no longer has. The continuation re-finds the record — under group
   // commit it runs after this frame is long gone.
-  persist_append_then(persist::RecordType::kJobFinished,
-                      finished_record_body(record), [this, job_id] {
+  BufWriter w;
+  w.put_varint(record.job_id);
+  w.put_u8(static_cast<u8>(record.state));
+  w.put_varint_signed(record.exit_code);
+  w.put_string(record.output_content);
+  w.put_string(record.error_content);
+  w.put_varint(record.cpu_cost);
+  w.put_string(record.detail);
+  persist_append_then(persist::RecordType::kJobFinished, w.take(),
+                      [this, job_id] {
                         auto finished = queue_.find(job_id);
                         if (finished.ok()) deliver_output(*finished.value());
                       });
@@ -1450,37 +1294,28 @@ std::string ShadowServer::job_signature(const job::JobRecord& record) {
   return sig;
 }
 
-void ShadowServer::deliver_output(job::JobRecord& record) {
-  const std::string route = record.output_route.empty()
-                                ? record.client_name
-                                : record.output_route;
-
-  proto::JobOutput out;
-  out.job_id = record.job_id;
-  out.client_job_token = record.client_job_token;
-  out.exit_code = record.exit_code;
-  out.output_name = record.output_name;
-  out.error_name = record.error_name;
-
+void ShadowServer::deliver_output(const job::JobRecord& record) {
   // Reverse shadow processing (§8.3): delta against the previous output of
   // the same job. Only applicable when output goes back to the same place.
-  diff::Delta output_delta = diff::Delta::make_full(record.output_content);
-  const std::string sig = job_signature(record);
+  diff::Delta output = diff::Delta::make_full(record.output_content);
+  u64 generation = 0;
+  u64 base_generation = 0;
   if (config_.reverse_shadow) {
+    const std::string sig = job_signature(record);
     auto prev = output_cache_.find(sig);
     if (prev != output_cache_.end()) {
-      output_delta =
-          diff::Delta::compute(prev->second.content, record.output_content,
-                               config_.output_delta_algo);
-      if (output_delta.needs_base()) {
-        out.output_base_generation = prev->second.generation;
+      output = diff::Delta::compute(prev->second.content,
+                                    record.output_content,
+                                    config_.output_delta_algo);
+      if (output.needs_base()) {
+        base_generation = prev->second.generation;
         ++stats_.output_delta_hits;
       }
     }
     auto& entry = output_cache_[sig];
     entry.generation += 1;
     entry.content = record.output_content;
-    out.output_generation = entry.generation;
+    generation = entry.generation;
     // Non-gating: a lost reverse-shadow base costs one full output
     // transfer on the next re-run, never correctness.
     BufWriter w;
@@ -1490,9 +1325,23 @@ void ShadowServer::deliver_output(job::JobRecord& record) {
     persist_append_then(persist::RecordType::kOutputStored, w.take(),
                         nullptr);
   }
+  send_output(record, output, generation, base_generation);
+}
+
+void ShadowServer::send_output(const job::JobRecord& record,
+                               const diff::Delta& output, u64 generation,
+                               u64 base_generation) {
+  proto::JobOutput out;
+  out.job_id = record.job_id;
+  out.client_job_token = record.client_job_token;
+  out.exit_code = record.exit_code;
+  out.output_name = record.output_name;
+  out.error_name = record.error_name;
+  out.output_generation = generation;
+  out.output_base_generation = base_generation;
 
   BufWriter w;
-  output_delta.encode(w);
+  output.encode(w);
   out.output_payload = compress::compress(w.take(), config_.output_codec);
 
   BufWriter ew;
@@ -1501,7 +1350,19 @@ void ShadowServer::deliver_output(job::JobRecord& record) {
 
   ++stats_.outputs_sent;
   stats_.output_bytes += out.output_payload.size() + out.error_payload.size();
-  send_to(route, out);
+  send_to(record.output_route.empty() ? record.client_name
+                                      : record.output_route,
+          out);
+}
+
+void ShadowServer::redeliver_outputs(const std::string& client_name) {
+  for (const auto& [id, record] : queue_.all()) {
+    if (record.client_name != client_name) continue;
+    if (record.state == proto::JobState::kCompleted ||
+        record.state == proto::JobState::kFailed) {
+      deliver_output(record);
+    }
+  }
 }
 
 void ShadowServer::handle(Connection* conn, const proto::StatusQuery& m) {
@@ -1545,28 +1406,13 @@ void ShadowServer::handle(Connection* conn, const proto::JobOutputAck& m) {
   SHADOW_DEBUG() << config_.name << ": client " << conn->client_name
                  << " nacked output of job " << m.job_id
                  << " (" << m.error << "); resending full";
-  proto::JobOutput out;
-  out.job_id = record.job_id;
-  out.client_job_token = record.client_job_token;
-  out.exit_code = record.exit_code;
-  out.output_name = record.output_name;
-  out.error_name = record.error_name;
+  u64 generation = 0;
   if (config_.reverse_shadow) {
     auto it = output_cache_.find(job_signature(record));
-    if (it != output_cache_.end()) out.output_generation = it->second.generation;
+    if (it != output_cache_.end()) generation = it->second.generation;
   }
-  BufWriter w;
-  diff::Delta::make_full(record.output_content).encode(w);
-  out.output_payload = compress::compress(w.take(), config_.output_codec);
-  BufWriter ew;
-  diff::Delta::make_full(record.error_content).encode(ew);
-  out.error_payload = compress::compress(ew.take(), config_.output_codec);
-  ++stats_.outputs_sent;
-  stats_.output_bytes += out.output_payload.size() + out.error_payload.size();
-  const std::string route = record.output_route.empty()
-                                ? record.client_name
-                                : record.output_route;
-  send_to(route, out);
+  send_output(record, diff::Delta::make_full(record.output_content),
+              generation, /*base_generation=*/0);
 }
 
 void ShadowServer::handle(Connection* conn, const proto::AdminQuery& m) {
@@ -1649,9 +1495,6 @@ Status ShadowServer::restore_state(const Bytes& snapshot) {
     state.latest_size = size;
     state.latest_crc = crc;
     state.owner_client = std::move(owner);
-    // No pulls are in flight in a fresh process.
-    state.pull_outstanding = 0;
-    state.pull_wanted = false;
     files_.emplace(std::move(key), std::move(state));
   }
   SHADOW_ASSIGN_OR_RETURN(output_count, r.get_varint());
@@ -1699,47 +1542,53 @@ void ShadowServer::reset_volatile_state() {
 }
 
 namespace {
-/// Shadow id encoded in a cache key ("<domain>/<shadow-id>"), or nullopt
-/// for a malformed key (possible only with a corrupted-but-CRC-colliding
-/// journal; the caller skips the record).
-std::optional<std::pair<std::string, naming::ShadowId>> split_cache_key(
-    const std::string& key) {
-  const auto slash = key.rfind('/');
-  if (slash == std::string::npos || slash + 1 >= key.size()) {
-    return std::nullopt;
-  }
+/// The prefix of every kShadowCached and kShadowDigest body: the file, its
+/// cache key, and the shadow id that key encodes.
+struct CacheRecordHead {
+  naming::GlobalFileId id;
+  std::string key;
   naming::ShadowId sid = 0;
-  for (std::size_t i = slash + 1; i < key.size(); ++i) {
-    const char c = key[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    if (sid > (~u64{0} - (c - '0')) / 10) return std::nullopt;  // overflow
-    sid = sid * 10 + static_cast<u64>(c - '0');
+};
+
+Result<CacheRecordHead> decode_cache_record_head(BufReader& r) {
+  SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
+  SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
+  // A malformed key is possible only with a corrupted-but-CRC-colliding
+  // journal; the replay stops there.
+  const auto sid = naming::DomainMap::parse_cache_key(key);
+  if (!sid) {
+    return Error{ErrorCode::kProtocolError, "malformed cache key " + key};
   }
-  return std::make_pair(key.substr(0, slash), sid);
+  return CacheRecordHead{std::move(id), std::move(key), *sid};
 }
 }  // namespace
 
 Status ShadowServer::replay_record(const persist::JournalRecord& record) {
   BufReader r(record.body);
   switch (record.type) {
-    case persist::RecordType::kShadowCached: {
-      SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
-      SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
+    case persist::RecordType::kShadowCached:
+    case persist::RecordType::kShadowDigest: {
+      const bool digest = record.type == persist::RecordType::kShadowDigest;
+      SHADOW_ASSIGN_OR_RETURN(head, decode_cache_record_head(r));
       SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
       SHADOW_ASSIGN_OR_RETURN(crc, r.get_u32());
-      SHADOW_ASSIGN_OR_RETURN(content, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
-      const auto split = split_cache_key(key);
-      if (!split) {
-        return Error{ErrorCode::kProtocolError, "malformed cache key " + key};
+      std::string content;
+      cdc::Signature sig;
+      if (digest) {
+        SHADOW_ASSIGN_OR_RETURN(decoded, cdc::Signature::decode(r));
+        sig = std::move(decoded);
+      } else {
+        SHADOW_ASSIGN_OR_RETURN(decoded, r.get_string());
+        content = std::move(decoded);
       }
-      domains_.bind(id, split->second);
-      FileState& state = files_[key];
-      state.id = std::move(id);
-      state.cache_key = key;
+      SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
+      domains_.bind(head.id, head.sid);
+      FileState& state = files_[head.key];
+      state.id = std::move(head.id);
+      state.cache_key = head.key;
       if (version >= state.latest_known) {
         state.latest_known = version;
-        state.latest_size = content.size();
+        state.latest_size = digest ? sig.total_bytes() : content.size();
         state.latest_crc = crc;
         state.owner_client = std::move(owner);
       }
@@ -1747,33 +1596,11 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       state.pull_wanted = false;
       // A refused put (over budget) is the cache's normal best-effort
       // behaviour, not a replay failure.
-      (void)cache_.put(key, version, std::move(content), crc);
-      return Status();
-    }
-    case persist::RecordType::kShadowDigest: {
-      SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
-      SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
-      SHADOW_ASSIGN_OR_RETURN(crc, r.get_u32());
-      SHADOW_ASSIGN_OR_RETURN(sig, cdc::Signature::decode(r));
-      SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
-      const auto split = split_cache_key(key);
-      if (!split) {
-        return Error{ErrorCode::kProtocolError, "malformed cache key " + key};
+      if (digest) {
+        (void)cache_.put_digest(head.key, version, std::move(sig), crc);
+      } else {
+        (void)cache_.put(head.key, version, std::move(content), crc);
       }
-      domains_.bind(id, split->second);
-      FileState& state = files_[key];
-      state.id = std::move(id);
-      state.cache_key = key;
-      if (version >= state.latest_known) {
-        state.latest_known = version;
-        state.latest_size = sig.total_bytes();
-        state.latest_crc = crc;
-        state.owner_client = std::move(owner);
-      }
-      state.pull_outstanding = 0;
-      state.pull_wanted = false;
-      (void)cache_.put_digest(key, version, std::move(sig), crc);
       return Status();
     }
     case persist::RecordType::kShadowEvicted: {
@@ -1911,16 +1738,17 @@ Status ShadowServer::recover_from_storage() {
 
   // Pre-pass: bind every (file id, shadow id) pair the journal assigned
   // BEFORE any record is replayed. Replaying a job first could otherwise
-  // intern one of its files under a fresh id that a later kShadowCached
-  // record claims for a different file.
+  // intern one of its files under a fresh id that a later cache record
+  // (content or digest) claims for a different file.
   for (const auto& record : recovered.records) {
-    if (record.type != persist::RecordType::kShadowCached) continue;
+    if (record.type != persist::RecordType::kShadowCached &&
+        record.type != persist::RecordType::kShadowDigest) {
+      continue;
+    }
     BufReader r(record.body);
-    auto id = naming::GlobalFileId::decode(r);
-    auto key = r.get_string();
-    if (!id.ok() || !key.ok()) continue;  // full replay will reject it
-    const auto split = split_cache_key(key.value());
-    if (split) domains_.bind(id.value(), split->second);
+    auto head = decode_cache_record_head(r);
+    if (head.ok()) domains_.bind(head.value().id, head.value().sid);
+    // A record that does not decode stops the full replay below.
   }
 
   for (const auto& record : recovered.records) {
@@ -1944,19 +1772,9 @@ Status ShadowServer::recover_from_storage() {
                    std::to_string(stats_.recovered_records) +
                    " journal records replayed");
 
-  if (dirty) {
-    // Fold the replay into a fresh snapshot and truncate — this is also
-    // what durably discards a torn tail instead of re-reading it forever.
-    Status cs = store_->compact(save_state());
-    if (!cs.ok()) {
-      persist_dead_ = true;
-      ++stats_.journal_failures;
-      SHADOW_WARN() << config_.name << ": post-recovery compaction failed: "
-                    << cs.to_string();
-    } else {
-      ++stats_.compactions;
-    }
-  }
+  // Fold the replay into a fresh snapshot and truncate — this is also
+  // what durably discards a torn tail instead of re-reading it forever.
+  if (dirty) compact_persist();
 
   schedule_jobs();
   return Status();

@@ -187,6 +187,15 @@ static_assert(sizeof(ServerStats) ==
                       sizeof(u64),
               "every ServerStats field needs a row in kServerStatsFields");
 
+/// Field-wise sum over kServerStatsFields: the one way to total the
+/// stats of several servers (shards, a scenario's fleet).
+inline ServerStats& operator+=(ServerStats& total, const ServerStats& more) {
+  for (const auto& field : kServerStatsFields) {
+    total.*field.member += more.*field.member;
+  }
+  return total;
+}
+
 class ShadowServer {
  public:
   /// `store` (optional) makes every mutation crash-consistent: the server
@@ -359,20 +368,45 @@ class ShadowServer {
   void handle(Connection* conn, const proto::Hello& m);
   void handle(Connection* conn, const proto::NotifyNewVersion& m);
   void handle(Connection* conn, const proto::Update& m);
-  /// The digest-only arm of handle(Update): advance the file's signature
-  /// from a CDC delta without materializing content (docs/DELTAS.md).
-  void handle_cdc_update(Connection* conn, const proto::Update& m,
-                         FileState& state, const diff::Delta& delta);
   void handle(Connection* conn, const proto::SubmitJob& m);
   void handle(Connection* conn, const proto::StatusQuery& m);
   void handle(Connection* conn, const proto::JobOutputAck& m);
   void handle(Connection* conn, const proto::AdminQuery& m);
   void handle(Connection* conn, const proto::Heartbeat& m);
 
+  // ---- the steps of handle(Update) ------------------------------------
+
+  /// Rebuild the content a line delta or full transfer describes. nullopt
+  /// once the update has been answered (nack, or full re-pull when the
+  /// base is gone or the delta does not apply).
+  std::optional<std::string> apply_delta(Connection* conn, FileState& state,
+                                         const proto::Update& m,
+                                         const diff::Delta& delta);
+  /// Advance the file's chunk-digest signature by a CDC delta without
+  /// materializing content (docs/DELTAS.md). nullopt once the update has
+  /// been answered with a full re-pull.
+  std::optional<cdc::Signature> advance_signature(Connection* conn,
+                                                  FileState& state,
+                                                  const proto::Update& m,
+                                                  const cdc::CdcDelta& d);
+  /// Pin a CDC update's bytes for a waiting job when they can be rebuilt
+  /// without a pull.
+  void pin_cdc_target(FileState& state, const proto::Update& m,
+                      const cdc::CdcDelta& d);
+  void nack_update(Connection* conn, const proto::Update& m,
+                   std::string error);
+  /// The base is unusable: ask the client for the whole version (§5.1).
+  void repull_full(Connection* conn, FileState& state, const proto::Update& m);
+
   void send_to(const std::string& client_name, const proto::Message& m);
   void send(Connection* conn, const proto::Message& m);
 
   FileState& file_state(const naming::GlobalFileId& id);
+  /// A new owner (or a restarted client) announced different content:
+  /// per-client version numbers restart, so forget the file's history.
+  void restart_history(FileState& state);
+  /// A pull in flight was lost with its connection or session: pull again.
+  void rearm_pull(FileState& state);
   /// Issue a PullRequest for `state` if flow control allows. `need_bytes`
   /// is set when a job must materialize the file: a current-but-digest-
   /// only cache entry then still triggers a pull (for full content),
@@ -384,9 +418,21 @@ class ShadowServer {
   /// Move jobs forward: pull missing files, start runnable jobs.
   void schedule_jobs();
   bool files_ready(const job::JobRecord& record) const;
+  /// Bytes of `key` at `version` or newer that a job can read: a cache
+  /// entry holding content, else a pin. Digest-only entries never count.
+  const std::string* resident_bytes(const std::string& key,
+                                    u64 version) const;
   void start_job(job::JobRecord& record);
   void finish_job(u64 job_id, job::ExecutionResult result);
-  void deliver_output(job::JobRecord& record);
+  /// Send a finished job's result, as a reverse-shadow delta when one
+  /// applies.
+  void deliver_output(const job::JobRecord& record);
+  /// Build and send one JobOutput carrying `output` (full content, or a
+  /// delta against output generation `base_generation`).
+  void send_output(const job::JobRecord& record, const diff::Delta& output,
+                   u64 generation, u64 base_generation);
+  /// Re-send every finished, unacknowledged result owed to a client.
+  void redeliver_outputs(const std::string& client_name);
 
   /// Reverse-shadow signature: identifies "the same job" across re-runs.
   static std::string job_signature(const job::JobRecord& record);
@@ -414,14 +460,10 @@ class ShadowServer {
   /// and re-deliver outputs the client never acknowledged.
   void resync_connection(Connection* conn);
 
-  /// Append one journal record (then compact if due). Returns true when
-  /// the mutation is durable — the caller may acknowledge it. With no
-  /// store attached this is trivially true. Classic sync-per-record
-  /// path; group-commit servers go through persist_append_then().
-  bool persist_append(persist::RecordType type, Bytes body);
   /// Journal one record and run `on_durable` once it is fsynced: inline
-  /// (classic / window=0) or from the flush that seals its batch (group
-  /// commit). On storage failure the callback never runs and the server
+  /// at commit window 0 (then compact if due), or from the flush that
+  /// seals its batch (group commit). With no store attached it runs
+  /// inline. On storage failure the callback never runs and the server
   /// stops acking. Pass nullptr for non-gating records.
   void persist_append_then(persist::RecordType type, Bytes body,
                            std::function<void()> on_durable);
@@ -430,6 +472,8 @@ class ShadowServer {
   /// Deferred compaction: runs only between batches so snapshot-then-
   /// truncate never sits on the ack path.
   void maybe_compact_persist();
+  /// Snapshot-then-truncate now; a failure stops acking.
+  void compact_persist();
   /// Arm the commit-window flush for the just-staged record (simulator:
   /// schedule; real time: open the window for pump_persist()).
   void schedule_window_flush();
@@ -437,12 +481,6 @@ class ShadowServer {
   /// (deferred acks may outlive a detach).
   void send_if_attached(Connection* conn, const std::string& client_name,
                         const proto::Message& m);
-  /// Journal bodies for the record types built in several places.
-  static Bytes cached_record_body(const FileState& state, u64 version,
-                                  u32 crc, const std::string& content);
-  static Bytes digest_record_body(const FileState& state, u64 version,
-                                  u32 crc, const cdc::Signature& signature);
-  static Bytes finished_record_body(const job::JobRecord& record);
   /// Non-gating eviction record (losing it costs a re-pull, not
   /// correctness).
   void persist_eviction(const std::string& cache_key);

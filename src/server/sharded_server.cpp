@@ -13,16 +13,6 @@ namespace shadow::server {
 
 namespace {
 constexpr int kServeRoundMs = 50;  // serve()'s longest wait per round
-
-ServerStats accumulate(const std::vector<ServerStats>& copies) {
-  ServerStats total;
-  for (const auto& s : copies) {
-    for (const auto& field : kServerStatsFields) {
-      total.*field.member += s.*field.member;
-    }
-  }
-  return total;
-}
 }  // namespace
 
 ShardedServer::ShardedServer(ServerConfig base, std::size_t shard_count,
@@ -376,7 +366,9 @@ ServerStats ShardedServer::aggregate_stats() {
   on_every_shard([this, &copies](std::size_t i) {
     copies[i] = shards_[i]->stats();  // copied on shard i's own thread
   });
-  return accumulate(copies);
+  ServerStats total;
+  for (const auto& copy : copies) total += copy;
+  return total;
 }
 
 void ShardedServer::sync_telemetry() {
@@ -387,7 +379,8 @@ void ShardedServer::sync_telemetry() {
     shards_[i]->sync_telemetry();
     copies[i] = shards_[i]->stats();
   });
-  const ServerStats total = accumulate(copies);
+  ServerStats total;
+  for (const auto& copy : copies) total += copy;
 
   auto& r = telemetry::Registry::global();
   // The plain names shadowtop has always shown carry the fleet-wide sums;

@@ -175,5 +175,21 @@ TEST(DomainMapTest, CacheKeyShape) {
   EXPECT_EQ(key.rfind("dom/", 0), 0u);
 }
 
+TEST(DomainMapTest, FindAndParseCacheKeyNeverIntern) {
+  DomainMap map;
+  const auto id = make_id("dom", "h", "/f", 3);
+  EXPECT_FALSE(map.find_cache_key(id).has_value());
+  EXPECT_EQ(map.domain_count(), 0u);  // the lookup created nothing
+  const std::string key = map.cache_key(id);
+  EXPECT_EQ(map.find_cache_key(id), key);
+  const auto sid = DomainMap::parse_cache_key(key);
+  ASSERT_TRUE(sid.has_value());
+  EXPECT_EQ(map.find("dom")->lookup(id), sid);
+  for (const char* bad : {"dom", "dom/", "dom/1x", "dom/-1",
+                          "dom/99999999999999999999"}) {
+    EXPECT_FALSE(DomainMap::parse_cache_key(bad).has_value()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace shadow::naming

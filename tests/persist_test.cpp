@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "cache/shadow_cache.hpp"
+#include "cdc/signature.hpp"
 #include "client/shadow_client.hpp"
 #include "client/shadow_editor.hpp"
 #include "core/workload.hpp"
+#include "job/queue.hpp"
 #include "naming/domain_map.hpp"
 #include "net/loopback.hpp"
+#include "persist/durable_store.hpp"
 #include "server/shadow_server.hpp"
 #include "util/crc32.hpp"
 #include "version/version_store.hpp"
@@ -289,6 +292,64 @@ TEST_F(PersistE2E, ServerSnapshotPreservesReverseShadowGenerations) {
   ASSERT_TRUE(client_->job_done(t2.value()));
   EXPECT_EQ(server_->stats().output_delta_hits, 1u);
   EXPECT_EQ(client_->stats().output_nacks_sent, 0u);
+}
+
+// Recovery binds the cache keys of digest records before replaying jobs.
+// Live order: file A is interned as d/1 by its notify (no record), a job
+// on file B is journaled (B is d/2), then A's CDC update journals a
+// digest record under d/1. Replaying the job first without the bind
+// would intern B as d/1, and the digest record would then claim d/1 for
+// A as well — B's job would run on A's bytes.
+TEST(PersistTest, RecoveryBindsDigestKeysBeforeReplayingJobs) {
+  auto file = [](const std::string& path, u64 inode) {
+    naming::GlobalFileId id;
+    id.domain = "d";
+    id.host = "ws";
+    id.path = path;
+    id.inode = inode;
+    return id;
+  };
+  const naming::GlobalFileId a = file("/a", 1);
+  const naming::GlobalFileId b = file("/b", 2);
+
+  persist::MemDir disk;
+  {
+    persist::DurableStore store(&disk);
+    job::JobRecord job;
+    job.job_id = 1;
+    job.client_name = "ws";
+    job.command_file = "wc b\n";
+    proto::JobFileRef ref;
+    ref.file = b;
+    ref.local_name = "b";
+    ref.version = 1;
+    job.files.push_back(ref);
+    BufWriter jw;
+    job::encode_job_record(job, jw);
+    ASSERT_TRUE(
+        store.append(persist::RecordType::kJobSubmitted, jw.take()).ok());
+
+    const std::string content = "content of a\n";
+    BufWriter dw;
+    a.encode(dw);
+    dw.put_string("d/1");
+    dw.put_varint(1);
+    dw.put_u32(crc32(reinterpret_cast<const u8*>(content.data()),
+                     content.size()));
+    cdc::signature_of(content, cdc::ChunkerParams{}).encode(dw);
+    dw.put_string("ws");
+    ASSERT_TRUE(
+        store.append(persist::RecordType::kShadowDigest, dw.take()).ok());
+  }
+
+  persist::DurableStore store(&disk);
+  server::ServerConfig sc;
+  sc.name = "super";
+  server::ShadowServer server(sc, nullptr, &store);
+  ASSERT_TRUE(server.recover_from_storage().ok());
+  EXPECT_EQ(server.stats().recovered_records, 2u);
+  EXPECT_EQ(server.domains().cache_key(a), "d/1");
+  EXPECT_NE(server.domains().cache_key(a), server.domains().cache_key(b));
 }
 
 }  // namespace

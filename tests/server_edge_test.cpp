@@ -2,12 +2,14 @@
 // directly over loopback so individual messages can be forged.
 #include <gtest/gtest.h>
 
+#include "cdc/cdc_delta.hpp"
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
 #include "net/loopback.hpp"
 #include "proto/messages.hpp"
 #include "core/system.hpp"
 #include "server/shadow_server.hpp"
+#include "telemetry/registry.hpp"
 
 namespace shadow::server {
 namespace {
@@ -29,7 +31,9 @@ Bytes pack_delta(const diff::Delta& delta) {
 
 class ServerEdgeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { start(proto::kAllCodecs); }
+
+  void start(u32 hello_codecs) {
     ServerConfig sc;
     sc.name = "super";
     server_ = std::make_unique<ShadowServer>(sc);
@@ -40,7 +44,9 @@ class ServerEdgeTest : public ::testing::Test {
       auto m = proto::decode_message(wire);
       if (m.ok()) received_.push_back(std::move(m).take());
     });
-    send(proto::Hello{"ws", "net-x"});
+    proto::Hello hello{"ws", "net-x"};
+    hello.codecs = hello_codecs;
+    send(hello);
     pump();
     received_.clear();
   }
@@ -49,6 +55,13 @@ class ServerEdgeTest : public ::testing::Test {
     ASSERT_TRUE(pair_.a->send(proto::encode_message(m)).ok());
   }
   void pump() { net::pump(pair_); }
+
+  template <typename T>
+  std::size_t count_of() const {
+    std::size_t n = 0;
+    for (const auto& m : received_) n += std::holds_alternative<T>(m);
+    return n;
+  }
 
   template <typename T>
   const T* last_of() const {
@@ -98,44 +111,6 @@ TEST_F(ServerEdgeTest, StaleNotifyIgnored) {
   send(notify);
   pump();
   EXPECT_EQ(server_->stats().pulls_sent, 1u);
-}
-
-TEST_F(ServerEdgeTest, UndecodableUpdatePayloadNacked) {
-  proto::Update update;
-  update.file = file_id(1);
-  update.base_version = 0;
-  update.new_version = 1;
-  update.payload = {0xFF, 0xEE, 0xDD};  // not a compressed delta
-  send(update);
-  pump();
-  const auto* ack = last_of<proto::UpdateAck>();
-  ASSERT_NE(ack, nullptr);
-  EXPECT_FALSE(ack->ok);
-  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
-}
-
-TEST_F(ServerEdgeTest, DeltaAgainstUncachedBaseTriggersFullRepull) {
-  proto::Update update;
-  update.file = file_id(1);
-  update.base_version = 3;  // server has nothing cached
-  update.new_version = 4;
-  // Big enough that the computed delta stays a delta (tiny inputs fall
-  // back to full-content format, which needs no base).
-  std::string base;
-  for (int i = 0; i < 50; ++i) base += "line " + std::to_string(i) + "\n";
-  std::string target = base;
-  target.replace(0, 4, "LINE");
-  const diff::Delta delta =
-      diff::Delta::compute(base, target, diff::Algorithm::kHuntMcIlroy);
-  ASSERT_TRUE(delta.needs_base());
-  update.payload = pack_delta(delta);
-  send(update);
-  pump();
-  const auto* pull = last_of<proto::PullRequest>();
-  ASSERT_NE(pull, nullptr);
-  EXPECT_EQ(pull->have_version, 0u);
-  EXPECT_EQ(pull->want_version, 4u);
-  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
 }
 
 TEST_F(ServerEdgeTest, FullUpdateCachedAndAcked) {
@@ -240,6 +215,212 @@ TEST_F(ServerEdgeTest, AckForUnknownJobNackAlsoIgnored) {
   send(ack);
   pump();
   EXPECT_TRUE(last_of<proto::JobOutput>() == nullptr);
+}
+
+// ---- the Update contract, for every delta codec ----
+//
+// A line delta (ed script) rebuilds content; a CDC delta only advances the
+// file's chunk-digest signature. Both must answer malformed payloads, lost
+// bases, failed applies and CRC mismatches the same way.
+
+enum class Codec { kLine, kCdc };
+
+// Small chunks, so a few-KB file spans many of them and a one-line edit
+// leaves most chunks to be copied from the base.
+cdc::ChunkerParams small_chunks() {
+  cdc::ChunkerParams params;
+  params.min_bytes = 64;
+  params.avg_bytes = 256;
+  params.max_bytes = 1024;
+  return params;
+}
+
+std::string text_file(const std::string& word) {
+  std::string text;
+  for (int i = 0; i < 200; ++i) {
+    text += word + " line " + std::to_string(i * 7919 % 1000) + "\n";
+  }
+  return text;
+}
+
+class UpdateContractTest : public ServerEdgeTest,
+                           public ::testing::WithParamInterface<Codec> {
+ protected:
+  void SetUp() override {
+    start(GetParam() == Codec::kCdc ? proto::kAllCodecs
+                                    : proto::kLegacyCodecs);
+  }
+
+  /// First transfer of `content`: full content for the line codec, an
+  /// all-literal CDC delta (leaving a digest-only cache entry) for CDC.
+  diff::Delta first_transfer(const std::string& content) const {
+    if (GetParam() == Codec::kLine) return diff::Delta::make_full(content);
+    diff::Delta delta;
+    delta.format = diff::Delta::Format::kCdc;
+    delta.cdc = cdc::CdcDelta::compute(cdc::Signature{small_chunks(), {}},
+                                       content);
+    return delta;
+  }
+
+  /// A delta of `target` that needs `base` to apply.
+  diff::Delta delta_between(const std::string& base,
+                            const std::string& target) const {
+    diff::Delta delta =
+        GetParam() == Codec::kLine
+            ? diff::Delta::compute(base, target, diff::Algorithm::kHuntMcIlroy)
+            : diff::Delta::compute_cdc(
+                  cdc::signature_of(base, small_chunks()), target);
+    EXPECT_TRUE(delta.needs_base());
+    EXPECT_EQ(delta.format == diff::Delta::Format::kCdc,
+              GetParam() == Codec::kCdc);
+    return delta;
+  }
+
+  void send_update(u64 base_version, u64 new_version, Bytes payload) {
+    proto::Update update;
+    update.file = file_id(1);
+    update.base_version = base_version;
+    update.new_version = new_version;
+    update.payload = std::move(payload);
+    send(update);
+    pump();
+  }
+
+  /// Cache version 1 of file 1 and clear what the server sent so far.
+  void cache_base(const std::string& base) {
+    send_update(0, 1, pack_delta(first_transfer(base)));
+    const auto* ack = last_of<proto::UpdateAck>();
+    ASSERT_NE(ack, nullptr);
+    ASSERT_TRUE(ack->ok);
+    received_.clear();
+  }
+
+  double outstanding_pulls_gauge() const {
+    server_->sync_telemetry();
+    return telemetry::Registry::global()
+        .gauge("server.outstanding_pulls")
+        .value();
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Codecs, UpdateContractTest,
+                         ::testing::Values(Codec::kLine, Codec::kCdc),
+                         [](const ::testing::TestParamInfo<Codec>& info) {
+                           return info.param == Codec::kLine ? "Line" : "Cdc";
+                         });
+
+TEST_P(UpdateContractTest, UndecodableUpdatePayloadNacked) {
+  // Not a compressed payload at all.
+  send_update(0, 1, {0xFF, 0xEE, 0xDD});
+  // A compressed delta of the codec, cut short.
+  BufWriter w;
+  delta_between(text_file("base"), text_file("base") + "more\n").encode(w);
+  Bytes cut = w.take();
+  cut.resize(cut.size() / 2);
+  send_update(0, 1, compress::compress(cut, compress::Codec::kStored));
+
+  ASSERT_EQ(count_of<proto::UpdateAck>(), 2u);
+  for (const auto& m : received_) {
+    if (const auto* ack = std::get_if<proto::UpdateAck>(&m)) {
+      EXPECT_FALSE(ack->ok);
+    }
+  }
+  EXPECT_EQ(count_of<proto::PullRequest>(), 0u);
+  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
+  EXPECT_EQ(outstanding_pulls_gauge(), 0.0);
+}
+
+TEST_P(UpdateContractTest, TrailingBytesAfterDeltaNacked) {
+  BufWriter w;
+  first_transfer(text_file("base")).encode(w);
+  w.put_u8(0);
+  send_update(0, 1, compress::compress(w.take(), compress::Codec::kStored));
+  const auto* ack = last_of<proto::UpdateAck>();
+  ASSERT_NE(ack, nullptr);
+  EXPECT_FALSE(ack->ok);
+  EXPECT_NE(ack->error.find("trailing bytes"), std::string::npos)
+      << ack->error;
+  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
+  EXPECT_EQ(outstanding_pulls_gauge(), 0.0);
+}
+
+TEST_P(UpdateContractTest, DeltaAgainstUncachedBaseTriggersFullRepull) {
+  // The server has nothing cached for base version 3.
+  const std::string base = text_file("base");
+  std::string target = base;
+  target.replace(0, 4, "BASE");
+  send_update(3, 4, pack_delta(delta_between(base, target)));
+  ASSERT_EQ(count_of<proto::PullRequest>(), 1u);
+  const auto* pull = last_of<proto::PullRequest>();
+  EXPECT_EQ(pull->have_version, 0u);
+  EXPECT_EQ(pull->want_version, 4u);
+  EXPECT_EQ(count_of<proto::UpdateAck>(), 0u);
+  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
+  EXPECT_EQ(outstanding_pulls_gauge(), 1.0);
+}
+
+TEST_P(UpdateContractTest, FailedApplyTriggersFullRepull) {
+  cache_base(text_file("base"));
+  // A delta computed against some other version 1 than the cached one:
+  // the ed script fails its CRC check, the CDC copies name chunks the
+  // cached signature does not hold.
+  const std::string other = text_file("other");
+  std::string target = other;
+  target.replace(0, 5, "OTHER");
+  send_update(1, 2, pack_delta(delta_between(other, target)));
+  ASSERT_EQ(count_of<proto::PullRequest>(), 1u);
+  const auto* pull = last_of<proto::PullRequest>();
+  EXPECT_EQ(pull->have_version, 0u);
+  EXPECT_EQ(pull->want_version, 2u);
+  EXPECT_EQ(count_of<proto::UpdateAck>(), 0u);
+  EXPECT_EQ(server_->stats().digest_advance_failures,
+            GetParam() == Codec::kCdc ? 1u : 0u);
+  EXPECT_EQ(server_->file_cache().peek(
+                server_->domains().cache_key(file_id(1)))->version,
+            1u);
+  EXPECT_EQ(outstanding_pulls_gauge(), 1.0);
+}
+
+TEST_P(UpdateContractTest, CrcMismatchWithNotifyNackedOnceThenFullResendAcked) {
+  const std::string base = text_file("base");
+  cache_base(base);
+  std::string target = base;
+  target.replace(0, 4, "BASE");
+
+  // The notify's CRC was damaged in flight; the server pulls version 2.
+  proto::NotifyNewVersion notify;
+  notify.file = file_id(1);
+  notify.version = 2;
+  notify.size = target.size();
+  notify.crc = 0x12345678;
+  send(notify);
+  pump();
+  ASSERT_EQ(count_of<proto::PullRequest>(), 1u);
+  EXPECT_EQ(outstanding_pulls_gauge(), 1.0);
+
+  send_update(1, 2, pack_delta(delta_between(base, target)));
+  ASSERT_EQ(count_of<proto::UpdateAck>(), 1u);
+  const auto* nack = last_of<proto::UpdateAck>();
+  EXPECT_FALSE(nack->ok);
+  EXPECT_EQ(nack->error, "content crc mismatch");
+  EXPECT_EQ(outstanding_pulls_gauge(), 0.0);
+
+  // The client answers the nack with the whole version; its own CRC
+  // vouches for it.
+  received_.clear();
+  send_update(0, 2, pack_delta(diff::Delta::make_full(target)));
+  ASSERT_EQ(count_of<proto::UpdateAck>(), 1u);
+  const auto* ack = last_of<proto::UpdateAck>();
+  EXPECT_TRUE(ack->ok);
+  EXPECT_EQ(ack->version, 2u);
+  const auto* entry =
+      server_->file_cache().peek(server_->domains().cache_key(file_id(1)));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->version, 2u);
+  // A CDC-tracked file stays digest-only when full content arrives.
+  EXPECT_EQ(entry->has_bytes(), GetParam() == Codec::kLine);
+  EXPECT_EQ(count_of<proto::PullRequest>(), 0u);
+  EXPECT_EQ(outstanding_pulls_gauge(), 0.0);
 }
 
 TEST(AdmissionControlTest, QueueFullRejectsAndClientSeesFailure) {
