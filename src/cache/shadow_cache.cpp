@@ -48,9 +48,10 @@ ShadowCache::ShadowCache(u64 byte_budget, EvictionPolicy policy)
     : byte_budget_(byte_budget), policy_(policy) {}
 
 std::unordered_map<std::string, CacheEntry>::iterator
-ShadowCache::pick_victim() {
+ShadowCache::pick_victim(const std::string* keep) {
   auto victim = entries_.end();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (keep != nullptr && it->first == *keep) continue;
     if (victim == entries_.end()) {
       victim = it;
       continue;
@@ -74,15 +75,23 @@ ShadowCache::pick_victim() {
   return victim;
 }
 
-void ShadowCache::make_room(std::size_t incoming_size) {
+void ShadowCache::make_room(std::size_t incoming_size,
+                            const std::string* keep) {
   if (byte_budget_ == 0) return;
-  while (!entries_.empty() && bytes_used_ + incoming_size > byte_budget_) {
-    auto victim = pick_victim();
-    bytes_used_ -= victim->second.charge();
-    entries_.erase(victim);
+  while (bytes_used_ + incoming_size > byte_budget_) {
+    auto victim = pick_victim(keep);
+    if (victim == entries_.end()) return;
+    drop(victim);
     ++stats_.evictions;
     CacheMetrics::get().evictions.add();
   }
+}
+
+void ShadowCache::drop(
+    std::unordered_map<std::string, CacheEntry>::iterator it) {
+  bytes_used_ -= it->second.charge();
+  auto node = entries_.extract(it);
+  if (on_drop_) on_drop_(node.key());
 }
 
 Status ShadowCache::put(const std::string& key, u64 version,
@@ -104,7 +113,7 @@ Status ShadowCache::put(const std::string& key, u64 version,
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     bytes_used_ -= it->second.charge();
-    make_room(content.size());
+    make_room(content.size(), &key);
     it->second.kind = EntryKind::kContent;
     it->second.signature = cdc::Signature{};
     it->second.content = std::move(content);
@@ -149,7 +158,7 @@ Status ShadowCache::put_digest(const std::string& key, u64 version,
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     bytes_used_ -= it->second.charge();
-    make_room(charge);
+    make_room(charge, &key);
     it->second.kind = EntryKind::kDigest;
     it->second.content.clear();
     it->second.content.shrink_to_fit();
@@ -215,15 +224,13 @@ ShadowCache::DigestStats ShadowCache::digest_stats() const {
 void ShadowCache::erase(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  bytes_used_ -= it->second.charge();
-  entries_.erase(it);
+  drop(it);
 }
 
 bool ShadowCache::evict_one() {
   auto victim = pick_victim();
   if (victim == entries_.end()) return false;
-  bytes_used_ -= victim->second.charge();
-  entries_.erase(victim);
+  drop(victim);
   ++stats_.evictions;
   CacheMetrics::get().evictions.add();
   return true;

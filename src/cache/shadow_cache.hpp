@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -110,6 +111,12 @@ class ShadowCache {
   bool evict_one();
   void clear();
 
+  /// Called with the key of every entry that leaves the cache other than
+  /// by clear(): evicted to make room, evict_one(), erase(), or a refused
+  /// put. The owner keeps what it derives from residency current with it.
+  using DropFn = std::function<void(const std::string& key)>;
+  void set_drop_listener(DropFn fn) { on_drop_ = std::move(fn); }
+
   u64 bytes_used() const { return bytes_used_; }
   u64 byte_budget() const { return byte_budget_; }
 
@@ -139,10 +146,15 @@ class ShadowCache {
   Status restore(BufReader& in, bool with_kinds = true);
 
  private:
-  /// Pick the victim according to the policy; returns entries_.end() when
-  /// the cache is empty.
-  std::unordered_map<std::string, CacheEntry>::iterator pick_victim();
-  void make_room(std::size_t incoming_size);
+  /// Pick the victim according to the policy, never `keep`; returns
+  /// entries_.end() when there is none.
+  std::unordered_map<std::string, CacheEntry>::iterator pick_victim(
+      const std::string* keep = nullptr);
+  /// Evict until `incoming_size` more bytes fit. `keep` is the entry a
+  /// put is replacing (its charge already released): it must survive.
+  void make_room(std::size_t incoming_size, const std::string* keep = nullptr);
+  /// Remove one entry and tell the drop listener.
+  void drop(std::unordered_map<std::string, CacheEntry>::iterator it);
 
   std::unordered_map<std::string, CacheEntry> entries_;
   u64 byte_budget_;
@@ -150,6 +162,7 @@ class ShadowCache {
   u64 tick_ = 0;
   EvictionPolicy policy_;
   CacheStats stats_;
+  DropFn on_drop_;
 };
 
 }  // namespace shadow::cache

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -71,102 +73,156 @@ std::string format_double(double v) {
   return buf;
 }
 
-// Executes one command, returns its stdout, accumulates cpu cost.
-std::string run_one(const Command& cmd, Sandbox& sandbox, u64& cpu_cost) {
+// Calls fn(line) for each line of `text`, '\n' retained (split_lines
+// boundaries) without building a vector.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const void* nl =
+        std::memchr(text.data() + start, '\n', text.size() - start);
+    const std::size_t end =
+        nl == nullptr
+            ? text.size()
+            : static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                       text.data()) + 1;
+    fn(text.substr(start, end - start));
+    start = end;
+  }
+}
+
+// The first `n` lines of `text`, as one view.
+std::string_view first_lines(std::string_view text, u64 n) {
+  std::size_t end = 0;
+  for (u64 i = 0; i < n && end < text.size(); ++i) {
+    const void* nl = std::memchr(text.data() + end, '\n', text.size() - end);
+    end = nl == nullptr ? text.size()
+                        : static_cast<std::size_t>(
+                              static_cast<const char*>(nl) - text.data()) + 1;
+  }
+  return text.substr(0, end);
+}
+
+// The last `n` lines of `text`, as one view. A final line without '\n'
+// is a line too.
+std::string_view last_lines(std::string_view text, u64 n) {
+  if (n == 0 || text.empty()) return {};
+  // Skip the last line's own terminator, then walk back n - 1 more.
+  std::size_t start = text.size() - 1;
+  for (u64 seen = 0; start > 0; --start) {
+    if (text[start - 1] == '\n' && ++seen == n) break;
+  }
+  return text.substr(start);
+}
+
+// Executes one command, appending its stdout to `out` and accumulating
+// cpu cost.
+void run_one(const Command& cmd, Sandbox& sandbox, u64& cpu_cost,
+             std::string& out) {
   const auto& p = cmd.program;
 
   if (p == "cat") {
     require_args(cmd, 1);
-    std::string out;
     for (const auto& name : cmd.args) {
       const auto& content = sandbox.read(name);
       cpu_cost += content.size();
       out += content;
     }
-    return out;
+    return;
   }
   if (p == "echo") {
-    std::string out = join(cmd.args, " ");
+    const std::size_t before = out.size();
+    out += join(cmd.args, " ");
     out += "\n";
-    cpu_cost += out.size();
-    return out;
+    cpu_cost += out.size() - before;
+    return;
   }
   if (p == "gen") {
     require_args(cmd, 2);
     const u64 lines = parse_u64(cmd.args[0], "line count");
     const u64 seed = parse_u64(cmd.args[1], "seed");
     Rng rng(seed);
-    std::string out;
+    const std::size_t before = out.size();
     for (u64 i = 0; i < lines; ++i) {
       out += std::to_string(rng.below(1000000)) + " " + rng.ascii_line(32) +
              "\n";
     }
-    cpu_cost += out.size();
-    return out;
+    cpu_cost += out.size() - before;
+    return;
   }
   if (p == "sort") {
     require_args(cmd, 1);
-    auto lines = split_lines(sandbox.read(cmd.args[0]));
-    cpu_cost += lines.size() * 16 + sandbox.read(cmd.args[0]).size();
+    const auto& content = sandbox.read(cmd.args[0]);
+    auto lines = split_line_views(content);
+    cpu_cost += lines.size() * 16 + content.size();
     std::sort(lines.begin(), lines.end());
-    return join_lines(lines);
+    out.reserve(out.size() + content.size());
+    for (const auto line : lines) out += line;
+    return;
   }
   if (p == "uniq") {
     require_args(cmd, 1);
-    const auto lines = split_lines(sandbox.read(cmd.args[0]));
-    cpu_cost += sandbox.read(cmd.args[0]).size();
-    std::vector<std::string> out;
-    for (const auto& line : lines) {
-      if (out.empty() || out.back() != line) out.push_back(line);
-    }
-    return join_lines(out);
+    const auto& content = sandbox.read(cmd.args[0]);
+    cpu_cost += content.size();
+    out.reserve(out.size() + content.size());
+    std::string_view last;
+    bool any = false;
+    for_each_line(content, [&](std::string_view line) {
+      if (any && line == last) return;
+      out += line;
+      last = line;
+      any = true;
+    });
+    return;
   }
   if (p == "grep") {
     require_args(cmd, 2);
-    const auto& pattern = cmd.args[0];
-    const auto lines = split_lines(sandbox.read(cmd.args[1]));
-    cpu_cost += sandbox.read(cmd.args[1]).size();
-    std::string out;
-    for (const auto& line : lines) {
-      if (line.find(pattern) != std::string::npos) out += line;
-    }
-    return out;
+    const std::string_view pattern = cmd.args[0];
+    const auto& content = sandbox.read(cmd.args[1]);
+    cpu_cost += content.size();
+    for_each_line(content, [&](std::string_view line) {
+      if (line.find(pattern) != std::string_view::npos) out += line;
+    });
+    return;
   }
   if (p == "head" || p == "tail") {
     require_args(cmd, 2);
     const u64 n = parse_u64(cmd.args[0], "line count");
-    auto lines = split_lines(sandbox.read(cmd.args[1]));
-    cpu_cost += sandbox.read(cmd.args[1]).size();
-    std::vector<std::string> keep;
-    if (p == "head") {
-      for (std::size_t i = 0; i < lines.size() && i < n; ++i) {
-        keep.push_back(lines[i]);
-      }
-    } else {
-      const std::size_t start =
-          lines.size() > n ? lines.size() - static_cast<std::size_t>(n) : 0;
-      for (std::size_t i = start; i < lines.size(); ++i) {
-        keep.push_back(lines[i]);
-      }
-    }
-    return join_lines(keep);
+    const auto& content = sandbox.read(cmd.args[1]);
+    cpu_cost += content.size();
+    out += p == "head" ? first_lines(content, n) : last_lines(content, n);
+    return;
   }
   if (p == "rev") {
     require_args(cmd, 1);
-    auto lines = split_lines(sandbox.read(cmd.args[0]));
-    cpu_cost += sandbox.read(cmd.args[0]).size();
-    std::reverse(lines.begin(), lines.end());
-    return join_lines(lines);
+    const auto& content = sandbox.read(cmd.args[0]);
+    const auto lines = split_line_views(content);
+    cpu_cost += content.size();
+    out.reserve(out.size() + content.size());
+    for (auto it = lines.rbegin(); it != lines.rend(); ++it) out += *it;
+    return;
   }
   if (p == "wc") {
     require_args(cmd, 1);
     const auto& content = sandbox.read(cmd.args[0]);
     cpu_cost += content.size();
-    const auto lines = split_lines(content);
+    // A word is a maximal run of non-space bytes within one line; the
+    // line's '\n' belongs to it (a blank line counts one word), so a new
+    // word starts at any non-space byte after a space or a newline.
     std::size_t words = 0;
-    for (const auto& line : lines) words += split_nonempty(line, ' ').size();
-    return std::to_string(lines.size()) + " " + std::to_string(words) + " " +
-           std::to_string(content.size()) + "\n";
+    bool in_word = false;
+    for (const char c : content) {
+      if (c == ' ') {
+        in_word = false;
+        continue;
+      }
+      if (!in_word) ++words;
+      in_word = c != '\n';
+    }
+    out += std::to_string(count_lines(content)) + " " +
+           std::to_string(words) + " " + std::to_string(content.size()) +
+           "\n";
+    return;
   }
   if (p == "sum") {
     require_args(cmd, 1);
@@ -181,14 +237,14 @@ std::string run_one(const Command& cmd, Sandbox& sandbox, u64& cpu_cost) {
         if (end != fields[0].c_str()) total += v;
       }
     }
-    return format_double(total) + "\n";
+    out += format_double(total) + "\n";
+    return;
   }
   if (p == "scale") {
     require_args(cmd, 2);
     const double factor = parse_double(cmd.args[0], "factor");
     const auto lines = split_lines(sandbox.read(cmd.args[1]));
     cpu_cost += 2 * sandbox.read(cmd.args[1]).size();
-    std::string out;
     for (const auto& line : lines) {
       const bool had_newline = !line.empty() && line.back() == '\n';
       const std::string body =
@@ -206,7 +262,7 @@ std::string run_one(const Command& cmd, Sandbox& sandbox, u64& cpu_cost) {
       out += join(tokens, " ");
       if (had_newline) out += "\n";
     }
-    return out;
+    return;
   }
   if (p == "matmul") {
     require_args(cmd, 2);
@@ -232,15 +288,16 @@ std::string run_one(const Command& cmd, Sandbox& sandbox, u64& cpu_cost) {
       }
     }
     cpu_cost += n * n * n;
-    return "matmul " + std::to_string(n) + " checksum " +
+    out += "matmul " + std::to_string(n) + " checksum " +
            format_double(checksum) + "\n";
+    return;
   }
   if (p == "burn") {
     // Charge abstract CPU without computing anything: load/scheduling
     // experiments use this to shape job durations precisely.
     require_args(cmd, 1);
     cpu_cost += parse_u64(cmd.args[0], "op count");
-    return "";
+    return;
   }
   if (p == "fail") {
     throw JobAbort{cmd.args.empty() ? "job aborted" : join(cmd.args, " ")};
@@ -254,16 +311,22 @@ ExecutionResult Executor::run(const std::vector<Command>& commands,
                               std::map<std::string, std::string> inputs) const {
   ExecutionResult result;
   Sandbox sandbox(std::move(inputs));
+  // A command's stdout goes straight into the job's output; a redirect
+  // builds a fresh string (its input may be the file it replaces).
+  std::size_t kept = 0;  // output length before the running command
   try {
     for (const auto& cmd : commands) {
-      std::string out = run_one(cmd, sandbox, result.cpu_cost);
+      kept = result.output.size();
       if (cmd.redirect.empty()) {
-        result.output += out;
+        run_one(cmd, sandbox, result.cpu_cost, result.output);
       } else {
+        std::string out;
+        run_one(cmd, sandbox, result.cpu_cost, out);
         sandbox.write(cmd.redirect, std::move(out));
       }
     }
   } catch (const JobAbort& abort) {
+    result.output.resize(kept);  // an aborted command prints nothing
     result.exit_code = 1;
     result.error += abort.message + "\n";
   }

@@ -1,10 +1,18 @@
 #include "job/queue.hpp"
 
+#include <algorithm>
+
 #include "telemetry/registry.hpp"
 
 namespace shadow::job {
 
 namespace {
+bool is_active(proto::JobState state) {
+  return state == proto::JobState::kQueued ||
+         state == proto::JobState::kWaitingFiles ||
+         state == proto::JobState::kRunning;
+}
+
 // Job-queue telemetry summed over every JobQueue instance. Terminal-state
 // counters (completions/failures/deliveries) fire on the transition INTO
 // the state, so job.transitions >= completions + failures + deliveries.
@@ -110,13 +118,129 @@ Result<JobRecord> decode_job_record(BufReader& in) {
   return job;
 }
 
+void JobQueue::index(const JobRecord& job) {
+  const u64 id = job.job_id;
+  if (job.submitted_via != 0) {
+    by_submission_.emplace(std::make_pair(job.submitted_via,
+                                          job.client_job_token),
+                           id);
+  }
+  if (!is_active(job.state)) return;
+  active_.insert(id);
+  for (const auto& key : job.input_keys) add_reader(key, id);
+}
+
+void JobQueue::add_reader(const std::string& key, u64 id) {
+  auto& ids = readers_[key];
+  auto at = std::lower_bound(ids.begin(), ids.end(), id);
+  if (at == ids.end() || *at != id) ids.insert(at, id);
+}
+
+void JobQueue::reindex_state(JobRecord& job, proto::JobState from) {
+  const u64 id = job.job_id;
+  if (job.state != proto::JobState::kQueued &&
+      job.state != proto::JobState::kWaitingFiles) {
+    ready_.erase(id);
+  }
+  if (is_active(from) == is_active(job.state)) return;
+  if (is_active(job.state)) {
+    active_.insert(id);
+    for (const auto& key : job.input_keys) add_reader(key, id);
+    return;
+  }
+  active_.erase(id);
+  for (const auto& key : job.input_keys) {
+    auto it = readers_.find(key);
+    if (it == readers_.end()) continue;
+    auto& ids = it->second;
+    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+    if (ids.empty()) readers_.erase(it);
+  }
+  // Only scheduling reads the keys; a finished record keeps none.
+  job.input_keys = {};
+}
+
 u64 JobQueue::add(JobRecord record) {
   record.job_id = next_id_++;
   record.state = proto::JobState::kQueued;
   const u64 id = record.job_id;
-  jobs_.emplace(id, std::move(record));
+  index(jobs_.emplace(id, std::move(record)).first->second);
   JobMetrics::get().submits.add();
   return id;
+}
+
+const std::vector<u64>* JobQueue::readers_of(const std::string& key) const {
+  auto it = readers_.find(key);
+  return it == readers_.end() ? nullptr : &it->second;
+}
+
+void JobQueue::set_ready(u64 job_id, bool ready) {
+  if (ready) {
+    ready_.insert(job_id);
+  } else {
+    ready_.erase(job_id);
+  }
+}
+
+void JobQueue::forget_connection(u64 via) {
+  auto begin = by_submission_.lower_bound({via, 0});
+  auto end = by_submission_.upper_bound({via, ~u64{0}});
+  for (auto it = begin; it != end; ++it) jobs_.at(it->second).submitted_via = 0;
+  by_submission_.erase(begin, end);
+}
+
+JobRecord* JobQueue::find_resubmission(u64 via, const std::string& client,
+                                       u64 token,
+                                       const std::string& command_file) {
+  if (via == 0) return nullptr;
+  auto [begin, end] = by_submission_.equal_range({via, token});
+  for (auto it = begin; it != end; ++it) {
+    JobRecord& job = jobs_.at(it->second);
+    if (job.client_name == client && job.command_file == command_file) {
+      return &job;
+    }
+  }
+  return nullptr;
+}
+
+void JobQueue::reindex(
+    const std::function<std::string(const proto::JobFileRef&)>& key_of) {
+  active_.clear();
+  readers_.clear();
+  ready_.clear();
+  by_submission_.clear();
+  for (auto& [id, job] : jobs_) {
+    job.input_keys.clear();
+    if (is_active(job.state)) {
+      for (const auto& ref : job.files) job.input_keys.push_back(key_of(ref));
+    }
+    index(job);
+  }
+}
+
+Status JobQueue::check_indexes() const {
+  JobQueue fresh;
+  for (const auto& [id, job] : jobs_) fresh.index(job);
+  if (fresh.active_ != active_) {
+    return Error{ErrorCode::kInternal, "active ids differ from the job map"};
+  }
+  if (fresh.readers_ != readers_) {
+    return Error{ErrorCode::kInternal, "input readers differ from the job map"};
+  }
+  if (fresh.by_submission_ != by_submission_) {
+    return Error{ErrorCode::kInternal,
+                 "submission index differs from the job map"};
+  }
+  for (const u64 id : ready_) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end() ||
+        (it->second.state != proto::JobState::kQueued &&
+         it->second.state != proto::JobState::kWaitingFiles)) {
+      return Error{ErrorCode::kInternal,
+                   "ready job " + std::to_string(id) + " is not waiting"};
+    }
+  }
+  return Status();
 }
 
 Result<JobRecord*> JobQueue::find(u64 job_id) {
@@ -182,7 +306,9 @@ Status JobQueue::transition(u64 job_id, proto::JobState next,
                      proto::job_state_name(record->state) + " -> " +
                      proto::job_state_name(next)};
   }
+  const proto::JobState from = record->state;
   record->state = next;
+  reindex_state(*record, from);
   metrics.transitions.add();
   if (next == proto::JobState::kCompleted) metrics.completions.add();
   if (next == proto::JobState::kFailed) metrics.failures.add();
@@ -191,12 +317,20 @@ Status JobQueue::transition(u64 job_id, proto::JobState next,
   return Status();
 }
 
+void JobQueue::restore_state(u64 job_id, proto::JobState state,
+                             const std::string& detail) {
+  auto it = jobs_.find(job_id);
+  if (it == jobs_.end()) return;
+  const proto::JobState from = it->second.state;
+  it->second.state = state;
+  it->second.detail = detail;
+  reindex_state(it->second, from);
+}
+
 JobRecord* JobQueue::next_schedulable() {
-  for (auto& [id, job] : jobs_) {
-    if (job.state == proto::JobState::kQueued ||
-        job.state == proto::JobState::kWaitingFiles) {
-      return &job;
-    }
+  for (const u64 id : active_) {
+    JobRecord& job = jobs_.at(id);
+    if (job.state != proto::JobState::kRunning) return &job;
   }
   return nullptr;
 }
@@ -211,6 +345,7 @@ Status JobQueue::requeue(u64 job_id, const std::string& detail) {
                      proto::job_state_name(record->state)};
   }
   record->state = proto::JobState::kQueued;
+  reindex_state(*record, proto::JobState::kRunning);
   record->retries += 1;
   JobMetrics::get().requeues.add();
   if (!detail.empty()) record->detail = detail;
@@ -234,7 +369,7 @@ Result<JobQueue> JobQueue::restore(BufReader& in) {
   for (u64 i = 0; i < count; ++i) {
     SHADOW_ASSIGN_OR_RETURN(job, decode_job_record(in));
     const u64 id = job.job_id;
-    queue.jobs_.emplace(id, std::move(job));
+    queue.index(queue.jobs_.emplace(id, std::move(job)).first->second);
     if (id >= queue.next_id_) queue.next_id_ = id + 1;
   }
   return queue;
@@ -243,21 +378,9 @@ Result<JobQueue> JobQueue::restore(BufReader& in) {
 void JobQueue::restore_record(JobRecord job) {
   const u64 id = job.job_id;
   if (id == 0 || jobs_.count(id) != 0) return;  // already in snapshot
-  jobs_.emplace(id, std::move(job));
+  index(jobs_.emplace(id, std::move(job)).first->second);
   JobMetrics::get().restored.add();
   if (id >= next_id_) next_id_ = id + 1;
-}
-
-std::size_t JobQueue::active_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, job] : jobs_) {
-    if (job.state == proto::JobState::kQueued ||
-        job.state == proto::JobState::kWaitingFiles ||
-        job.state == proto::JobState::kRunning) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace shadow::job

@@ -39,7 +39,10 @@ ShadowServer::ShadowServer(ServerConfig config, sim::Simulator* simulator,
       sim_(simulator),
       store_(store),
       load_monitor_(config_.load, simulator),
-      cache_(config_.cache_budget, config_.eviction) {}
+      cache_(config_.cache_budget, config_.eviction) {
+  // An evicted or erased input un-readies the jobs reading it.
+  cache_.set_drop_listener([this](const std::string& key) { touch_file(key); });
+}
 
 ShadowServer::~ShadowServer() {
   // Deferred commit callbacks capture `this`; a batch still in flight at
@@ -168,17 +171,15 @@ void ShadowServer::compact_persist() {
   record_event(telemetry::EventKind::kJournal, "journal compacted");
 }
 
-void ShadowServer::send_if_attached(Connection* conn,
+void ShadowServer::send_if_attached(u64 serial,
                                     const std::string& client_name,
                                     const proto::Message& m) {
-  for (const auto& c : connections_) {
-    if (c.get() == conn && c->client_name == client_name) {
-      send(conn, m);
-      return;
-    }
+  auto it = connections_.find(serial);
+  if (it != connections_.end() && it->second->client_name == client_name) {
+    send(it->second.get(), m);
   }
-  // The connection went away while its batch was syncing; the client
-  // re-offers after reconnecting, so dropping the ack is safe.
+  // Otherwise the connection went away while its batch was syncing; the
+  // client re-offers after reconnecting, so dropping the ack is safe.
 }
 
 void ShadowServer::persist_eviction(const std::string& cache_key) {
@@ -214,6 +215,7 @@ u64 ShadowServer::now_micros() const {
 void ShadowServer::attach(net::Transport* transport) {
   auto conn = std::make_unique<Connection>();
   conn->transport = transport;
+  conn->serial = next_connection_serial_++;
   conn->lease_renewed_us = now_micros();
   if (config_.overload.max_conn_queued_bytes > 0) {
     // Byte-cap this connection's outbound queue; a send that would
@@ -239,24 +241,29 @@ void ShadowServer::attach(net::Transport* transport) {
     transport->set_receiver(
         [this, raw](Bytes wire) { on_message(raw, std::move(wire)); });
   }
-  connections_.push_back(std::move(conn));
+  connections_.emplace(raw->serial, std::move(conn));
 }
 
 void ShadowServer::detach(net::Transport* transport) {
   for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-    if ((*it)->transport != transport) continue;
-    Connection* raw = it->get();
+    if (it->second->transport != transport) continue;
+    Connection* raw = it->second.get();
     if (!raw->client_name.empty()) {
       auto named = clients_.find(raw->client_name);
       if (named != clients_.end() && named->second == raw) {
         clients_.erase(named);
       }
+      // Pulls in flight to this client died with its socket; re-arm them
+      // so its next Hello pulls again.
+      rearm_pulls_of(raw->client_name);
       record_event(telemetry::EventKind::kServer,
                    "client " + raw->client_name + " disconnected");
     }
-    // Jobs this connection submitted keep their record; submitted_via is
-    // only ever compared against live Connection pointers (duplicate
-    // detection), never dereferenced, so the dangling token is harmless.
+    // Jobs this connection submitted keep their record. Nothing can be
+    // resent over it any more, and its serial is never given to another
+    // connection, so a client reconnecting (even on a Connection allocated
+    // at the same address) never matches them as a resend.
+    queue_.forget_connection(raw->serial);
     connections_.erase(it);
     return;
   }
@@ -281,7 +288,7 @@ void ShadowServer::doom_connection(Connection* conn, const std::string& why) {
 std::size_t ShadowServer::reap_doomed() {
   std::size_t reaped = 0;
   for (auto it = connections_.begin(); it != connections_.end();) {
-    Connection* raw = it->get();
+    Connection* raw = it->second.get();
     if (!raw->doomed) {
       ++it;
       continue;
@@ -298,10 +305,9 @@ std::size_t ShadowServer::reap_doomed() {
       // Pulls in flight to this client died with its send queue. Re-arm
       // them so a plain (non-reliable-session) reconnect's re-announce
       // pulls again instead of waiting forever on a dead request.
-      for (auto& [key, state] : files_) {
-        if (state.owner_client == raw->client_name) rearm_pull(state);
-      }
+      rearm_pulls_of(raw->client_name);
     }
+    queue_.forget_connection(raw->serial);
     it = connections_.erase(it);
     ++reaped;
   }
@@ -312,7 +318,7 @@ std::size_t ShadowServer::expire_leases() {
   if (config_.lease_usec == 0) return 0;
   const u64 now = now_micros();
   std::size_t expired = 0;
-  for (auto& conn : connections_) {
+  for (auto& [serial, conn] : connections_) {
     if (conn->doomed) continue;
     if (now - conn->lease_renewed_us < config_.lease_usec) continue;
     ++stats_.leases_expired;
@@ -328,7 +334,7 @@ std::size_t ShadowServer::expire_leases() {
 
 std::size_t ShadowServer::total_queued_bytes() const {
   std::size_t total = 0;
-  for (const auto& conn : connections_) {
+  for (const auto& [serial, conn] : connections_) {
     total += conn->transport->queued_bytes();
   }
   return total;
@@ -371,7 +377,7 @@ void ShadowServer::begin_drain() {
                config_.name + " draining: refusing new work");
   // One notice per live v1 session: back off and come back elsewhere /
   // later. In-flight acks still flow; only NEW work is refused.
-  for (auto& conn : connections_) {
+  for (auto& [serial, conn] : connections_) {
     if (conn->doomed || conn->protocol_version < 1) continue;
     ++stats_.drain_notices;
     send_busy(conn.get(), 0, "server draining");
@@ -397,7 +403,7 @@ void ShadowServer::handle(Connection* conn, const proto::Heartbeat& m) {
 }
 
 void ShadowServer::inject_message(net::Transport* transport, Bytes wire) {
-  for (auto& conn : connections_) {
+  for (auto& [serial, conn] : connections_) {
     if (conn->transport == transport) {
       on_message(conn.get(), std::move(wire));
       return;
@@ -409,7 +415,7 @@ void ShadowServer::inject_message(net::Transport* transport, Bytes wire) {
 
 std::size_t ShadowServer::tick() {
   std::size_t resent = 0;
-  for (auto& conn : connections_) {
+  for (auto& [serial, conn] : connections_) {
     if (conn->channel != nullptr && !conn->doomed) {
       resent += conn->channel->tick();
     }
@@ -433,12 +439,12 @@ void ShadowServer::resync_connection(Connection* conn) {
   for (auto& [key, state] : files_) rearm_pull(state);
   drain_deferred_pulls();
   if (!conn->client_name.empty()) redeliver_outputs(conn->client_name);
-  schedule_jobs();
+  schedule_all();
 }
 
 proto::ReliableChannel::Stats ShadowServer::session_stats() const {
   proto::ReliableChannel::Stats total;
-  for (const auto& conn : connections_) {
+  for (const auto& [serial, conn] : connections_) {
     if (conn->channel == nullptr) continue;
     const auto& s = conn->channel->stats();
     total.data_sent += s.data_sent;
@@ -599,11 +605,17 @@ void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
   reply.server_name = config_.name;
   reply.codecs = server_codecs;
   send(conn, reply);
+  // Pulls of this client's files that waited for it to (re)connect.
+  for (auto& [key, state] : files_) {
+    if (state.pull_wanted && state.owner_client == m.client_name) {
+      maybe_pull(state);
+    }
+  }
   // Results that finished while the client was away (e.g. the server was
   // restarted from its journal): deliver now that there is a connection.
   // Harmless on a first-ever Hello — the queue has nothing for this name.
   redeliver_outputs(m.client_name);
-  schedule_jobs();
+  schedule_all();
 }
 
 void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
@@ -632,6 +644,7 @@ void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
     state.latest_crc = m.crc;
   }
   state.owner_client = conn->client_name;
+  touch_file(state.cache_key);
   if (config_.pull_policy == PullPolicy::kEager) {
     maybe_pull(state);
   }
@@ -645,6 +658,7 @@ void ShadowServer::restart_history(FileState& state) {
     --outstanding_pulls_;
   }
   state.pull_outstanding = 0;
+  touch_file(state.cache_key);
 }
 
 void ShadowServer::rearm_pull(FileState& state) {
@@ -652,39 +666,62 @@ void ShadowServer::rearm_pull(FileState& state) {
   state.pull_outstanding = 0;
   if (outstanding_pulls_ > 0) --outstanding_pulls_;
   state.pull_wanted = true;
+  touch_file(state.cache_key);
 }
 
-void ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
-  if (state.latest_known == 0) return;
+void ShadowServer::rearm_pulls_of(const std::string& client) {
+  for (auto& [key, state] : files_) {
+    if (state.owner_client != client) continue;
+    rearm_pull(state);
+    // Its jobs' pulls now wait for the owner, not for a pull slot.
+    touch_file(key);
+  }
+}
+
+bool ShadowServer::pull_needed(const FileState& state, bool need_bytes,
+                               bool& materialize) const {
+  materialize = false;
+  if (state.latest_known == 0) return false;
   const cache::CacheEntry* entry = cache_.peek(state.cache_key);
   const bool version_current =
       entry != nullptr && entry->version >= state.latest_known;
   // A digest entry satisfies version tracking but cannot feed a job's
   // sandbox: when bytes are needed and only digests (and no pin) are
   // resident, pull full content for the CURRENT version.
-  bool materialize = false;
   if (version_current) {
-    if (!need_bytes || entry->has_bytes()) return;  // up to date
+    if (!need_bytes || entry->has_bytes()) return false;  // up to date
     auto pinned = pinned_.find(state.cache_key);
     if (pinned != pinned_.end() &&
         pinned->second.version >= state.latest_known) {
-      return;  // bytes already pinned for the job
+      return false;  // bytes already pinned for the job
     }
     materialize = true;
   }
-  if (state.pull_outstanding >= state.latest_known) return;  // in flight
-  if (state.owner_client.empty()) return;
+  if (state.pull_outstanding >= state.latest_known) return false;  // in flight
+  return !state.owner_client.empty();
+}
+
+bool ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
+  bool materialize = false;
+  if (!pull_needed(state, need_bytes, materialize)) return false;
+  if (!has_client(state.owner_client)) {
+    // No one to ask: a request now would be lost, and the pull would
+    // look in flight forever. The owner's Hello retries it.
+    state.pull_wanted = true;
+    return false;
+  }
   if (load_says_wait()) {
     state.pull_wanted = true;  // picked up by the load monitor's retry
-    return;
+    return true;
   }
   if (outstanding_pulls_ >= config_.max_outstanding_pulls) {
     // Flow control: the server refuses to be overrun (§5.2); retry after
     // the next update drains a slot.
     state.pull_wanted = true;
     ++stats_.pulls_deferred;
-    return;
+    return true;
   }
+  const cache::CacheEntry* entry = cache_.peek(state.cache_key);
   proto::PullRequest pull;
   pull.file = state.id;
   if (materialize) {
@@ -706,6 +743,8 @@ void ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
   ++outstanding_pulls_;
   ++stats_.pulls_sent;
   send_to(state.owner_client, pull);
+  touch_file(state.cache_key);
+  return false;
 }
 
 void ShadowServer::drain_deferred_pulls() {
@@ -726,6 +765,7 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   } else {
     ++stats_.unsolicited_updates;  // request-driven client pushing
   }
+  touch_file(state.cache_key);
 
   // Unwrap compression, then the delta.
   auto decoded = [&]() -> Result<diff::Delta> {
@@ -790,15 +830,18 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   // Pin the bytes if a waiting job needs them and the cache will not hold
   // them.
   bool needed_by_job = false;
-  for (const auto& [id, record] : queue_.all()) {
-    if (record.state != proto::JobState::kQueued &&
-        record.state != proto::JobState::kWaitingFiles) {
-      continue;
-    }
-    for (const auto& ref : record.files) {
-      needed_by_job = needed_by_job ||
-                      (m.new_version >= ref.version &&
-                       domains_.find_cache_key(ref.file) == state.cache_key);
+  if (const auto* readers = queue_.readers_of(state.cache_key)) {
+    for (const u64 id : *readers) {
+      const job::JobRecord& record = *queue_.find(id).value();
+      if (record.state != proto::JobState::kQueued &&
+          record.state != proto::JobState::kWaitingFiles) {
+        continue;
+      }
+      for (std::size_t i = 0; i < record.files.size(); ++i) {
+        needed_by_job = needed_by_job ||
+                        (m.new_version >= record.files[i].version &&
+                         record.input_keys[i] == state.cache_key);
+      }
     }
   }
 
@@ -850,6 +893,7 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
                      " v" + std::to_string(m.new_version) + " (" +
                      std::to_string(size) + " bytes)");
   }
+  touch_file(state.cache_key);
 
   // The write-ahead rule: the ack is a durability promise, so the record
   // must hit the journal (and survive its fsync) first. A refused append
@@ -859,13 +903,13 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
       digest ? persist::RecordType::kShadowDigest
              : persist::RecordType::kShadowCached,
       body.take(),
-      [this, conn, client = conn->client_name, file = m.file,
-       version = m.new_version] {
+      [this, serial = conn->serial, client = conn->client_name,
+       file = m.file, version = m.new_version] {
         proto::UpdateAck ack;
         ack.file = file;
         ack.version = version;
         ack.ok = true;
-        send_if_attached(conn, client, ack);
+        send_if_attached(serial, client, ack);
         drain_deferred_pulls();
         schedule_jobs();
       });
@@ -989,21 +1033,17 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   // queueing the job twice. Matching is scoped to this connection: token
   // counters restart with a client process, so an identical-looking
   // submission from a new connection is a genuinely new job.
-  for (auto& [id, record] : queue_.all_mutable()) {
-    if (record.submitted_via != conn ||
-        record.client_name != conn->client_name ||
-        record.client_job_token != m.client_job_token ||
-        record.command_file != m.command_file) {
-      continue;
-    }
+  if (const job::JobRecord* resent = queue_.find_resubmission(
+          conn->serial, conn->client_name, m.client_job_token,
+          m.command_file)) {
     proto::SubmitReply reply;
     reply.client_job_token = m.client_job_token;
-    reply.job_id = record.job_id;
+    reply.job_id = resent->job_id;
     reply.accepted = true;
     send(conn, reply);
-    if (record.state == proto::JobState::kCompleted ||
-        record.state == proto::JobState::kFailed) {
-      deliver_output(record);
+    if (resent->state == proto::JobState::kCompleted ||
+        resent->state == proto::JobState::kFailed) {
+      deliver_output(*resent);
     }
     return;
   }
@@ -1048,7 +1088,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   }
   job::JobRecord record;
   record.client_name = conn->client_name;
-  record.submitted_via = conn;
+  record.submitted_via = conn->serial;
   record.client_job_token = m.client_job_token;
   record.command_file = m.command_file;
   record.files = m.files;
@@ -1056,11 +1096,11 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   record.error_name = m.error_name;
   record.output_route = m.output_route;
   record.detail = "queued";
-  const u64 job_id = queue_.add(std::move(record));
 
   // Record what the job will need; the submitting client serves pulls.
   for (const auto& ref : m.files) {
     FileState& state = file_state(ref.file);
+    record.input_keys.push_back(state.cache_key);
     // Owner change with different content: per-client version numbers
     // restart, exactly as in the NotifyNewVersion handler.
     if (!state.owner_client.empty() &&
@@ -1075,7 +1115,11 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
       state.owner_client = conn->client_name;
     }
     if (state.owner_client.empty()) state.owner_client = conn->client_name;
+    touch_file(state.cache_key);
   }
+  const u64 job_id = queue_.add(std::move(record));
+  queue_.set_ready(job_id, files_ready(*queue_.find(job_id).value()));
+  mark_for_visit(job_id);
 
   // Journal the accepted job before the SubmitReply: an acked job id is a
   // promise that the job survives a server crash. If the record is never
@@ -1092,7 +1136,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
       m.command_file.substr(0, m.command_file.find('\n'));
   persist_append_then(
       persist::RecordType::kJobSubmitted, std::move(job_body),
-      [this, conn, client = conn->client_name, job_id,
+      [this, serial = conn->serial, client = conn->client_name, job_id,
        token = m.client_job_token, command_head] {
         record_event(telemetry::EventKind::kJob,
                      "job " + std::to_string(job_id) + " accepted from " +
@@ -1101,7 +1145,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
         reply.client_job_token = token;
         reply.job_id = job_id;
         reply.accepted = true;
-        send_if_attached(conn, client, reply);
+        send_if_attached(serial, client, reply);
         schedule_jobs();
       });
 }
@@ -1122,43 +1166,159 @@ const std::string* ShadowServer::resident_bytes(const std::string& key,
 }
 
 bool ShadowServer::files_ready(const job::JobRecord& record) const {
-  for (const auto& ref : record.files) {
-    const auto key = domains_.find_cache_key(ref.file);
-    if (!key || resident_bytes(*key, ref.version) == nullptr) return false;
+  for (std::size_t i = 0; i < record.files.size(); ++i) {
+    if (resident_bytes(record.input_keys[i], record.files[i].version) ==
+        nullptr) {
+      return false;
+    }
   }
   return true;
 }
 
-void ShadowServer::schedule_jobs() {
-  for (auto& [id, record] : queue_.all_mutable()) {
+ShadowServer::FileState& ShadowServer::input_state(
+    const job::JobRecord& record, std::size_t i) {
+  auto it = files_.find(record.input_keys[i]);
+  return it != files_.end() ? it->second : file_state(record.files[i].file);
+}
+
+void ShadowServer::touch_file(const std::string& key) {
+  const auto* readers = queue_.readers_of(key);
+  if (readers == nullptr) return;
+  for (const u64 id : *readers) {
+    const job::JobRecord& record = *queue_.find(id).value();
     if (record.state != proto::JobState::kQueued &&
         record.state != proto::JobState::kWaitingFiles) {
-      continue;
+      continue;  // running: its sandbox is already filled
     }
-    if (files_ready(record)) {
-      if (running_jobs_ < config_.max_concurrent_jobs &&
-          !load_says_wait()) {
-        start_job(record);
+    queue_.set_ready(id, files_ready(record));
+    mark_for_visit(id);
+  }
+}
+
+void ShadowServer::mark_for_visit(u64 job_id) {
+  forget_pull_slot_wait(job_id);
+  jobs_to_visit_.insert(job_id);
+}
+
+void ShadowServer::forget_pull_slot_wait(u64 job_id) {
+  auto waits = pull_slot_waits_.find(job_id);
+  if (waits == pull_slot_waits_.end()) return;
+  pull_slot_wait_refs_ -= waits->second;
+  pull_slot_waits_.erase(waits);
+}
+
+std::size_t ShadowServer::pull_slot_waits_after(u64 cursor) const {
+  if (pull_slot_waits_.empty()) return 0;
+  if (cursor < pull_slot_waits_.begin()->first) return pull_slot_wait_refs_;
+  std::size_t refs = 0;
+  for (auto it = pull_slot_waits_.upper_bound(cursor);
+       it != pull_slot_waits_.end(); ++it) {
+    refs += it->second;
+  }
+  return refs;
+}
+
+void ShadowServer::schedule_all() {
+  for (const u64 id : queue_.active_ids()) {
+    if (queue_.find(id).value()->state != proto::JobState::kRunning) {
+      mark_for_visit(id);
+    }
+  }
+  schedule_jobs();
+}
+
+void ShadowServer::schedule_jobs() {
+  // Oldest first over the jobs whose visit can act (see the header). The
+  // cursor re-finds its place after every visit: a visit may start a job,
+  // finish it inline and run a nested pass that changes these sets.
+  constexpr u64 kNone = ~u64{0};
+  // Under the load monitor a put-off pull also asks it again, so those
+  // visits are made in full.
+  const bool load_gated = config_.load.high_water > 0;
+  bool waits_counted = false;
+  u64 cursor = 0;
+  for (;;) {
+    if (!waits_counted && !load_gated &&
+        outstanding_pulls_ >= config_.max_outstanding_pulls) {
+      // Nothing in a pass frees a pull slot, so every remaining visit of
+      // a job waiting for one would only count its pulls deferred again.
+      stats_.pulls_deferred += pull_slot_waits_after(cursor);
+      waits_counted = true;
+    }
+    u64 next = kNone;
+    if (auto it = jobs_to_visit_.upper_bound(cursor);
+        it != jobs_to_visit_.end()) {
+      next = *it;
+    }
+    if (running_jobs_ < config_.max_concurrent_jobs) {
+      const auto& ready = queue_.ready_ids();
+      if (auto it = ready.upper_bound(cursor); it != ready.end()) {
+        next = std::min(next, *it);
       }
-      continue;
     }
-    // Demand-driven: pull exactly what the job is missing.
-    if (record.state == proto::JobState::kQueued) {
-      (void)queue_.transition(record.job_id, proto::JobState::kWaitingFiles,
-                              "waiting for input files");
+    if (!waits_counted) {
+      if (auto it = pull_slot_waits_.upper_bound(cursor);
+          it != pull_slot_waits_.end()) {
+        next = std::min(next, it->first);
+      }
     }
-    for (const auto& ref : record.files) {
-      FileState& state = file_state(ref.file);
-      // Jobs need bytes: a current-but-digest-only entry still pulls.
-      maybe_pull(state, /*need_bytes=*/true);
+    if (next == kNone) return;
+    cursor = next;
+    visit_job(*queue_.find(next).value());
+  }
+}
+
+void ShadowServer::visit_job(job::JobRecord& record) {
+  const u64 id = record.job_id;
+  forget_pull_slot_wait(id);
+  jobs_to_visit_.erase(id);
+  if (record.state != proto::JobState::kQueued &&
+      record.state != proto::JobState::kWaitingFiles) {
+    return;
+  }
+  if (queue_.is_ready(id)) {
+    if (running_jobs_ < config_.max_concurrent_jobs && !load_says_wait()) {
+      start_job(record);
     }
+    return;
+  }
+  // Demand-driven: pull exactly what the job is missing.
+  if (record.state == proto::JobState::kQueued) {
+    (void)queue_.transition(id, proto::JobState::kWaitingFiles,
+                            "waiting for input files");
+  }
+  std::size_t put_off = 0;
+  for (std::size_t i = 0; i < record.files.size(); ++i) {
+    // Jobs need bytes: a current-but-digest-only entry still pulls.
+    if (maybe_pull(input_state(record, i), /*need_bytes=*/true)) ++put_off;
+  }
+  // A pull this visit sent marked the job again; its next visit settles it.
+  if (put_off > 0 && jobs_to_visit_.count(id) == 0) {
+    pull_slot_waits_[id] = put_off;
+    pull_slot_wait_refs_ += put_off;
+  }
+}
+
+void ShadowServer::reindex_jobs() {
+  queue_.reindex([this](const proto::JobFileRef& ref) {
+    return domains_.cache_key(ref.file);
+  });
+  jobs_to_visit_.clear();
+  pull_slot_waits_.clear();
+  pull_slot_wait_refs_ = 0;
+  for (const u64 id : queue_.active_ids()) {
+    const job::JobRecord& record = *queue_.find(id).value();
+    if (record.state == proto::JobState::kRunning) continue;
+    queue_.set_ready(id, files_ready(record));
+    jobs_to_visit_.insert(id);
   }
 }
 
 void ShadowServer::start_job(job::JobRecord& record) {
   std::map<std::string, std::string> sandbox;
-  for (const auto& ref : record.files) {
-    const std::string key = domains_.cache_key(ref.file);
+  for (std::size_t i = 0; i < record.files.size(); ++i) {
+    const auto& ref = record.files[i];
+    const std::string& key = record.input_keys[i];
     (void)cache_.get(key);  // a job start is a cache access (recency, hits)
     if (const std::string* bytes = resident_bytes(key, ref.version)) {
       sandbox[ref.local_name] = *bytes;
@@ -1166,10 +1326,11 @@ void ShadowServer::start_job(job::JobRecord& record) {
     }
     // Evicted between readiness check and start (or resident as digests
     // only): go back to waiting and pull real bytes.
+    queue_.set_ready(record.job_id, false);
     (void)queue_.transition(record.job_id, proto::JobState::kWaitingFiles,
                             "input evicted before start; re-pulling");
-    FileState& state = file_state(ref.file);
-    maybe_pull(state, /*need_bytes=*/true);
+    mark_for_visit(record.job_id);
+    maybe_pull(input_state(record, i), /*need_bytes=*/true);
     return;
   }
 
@@ -1216,6 +1377,8 @@ void ShadowServer::finish_job(u64 job_id, job::ExecutionResult result) {
   if (running_jobs_ > 0) --running_jobs_;
   load_monitor_.set_demand(static_cast<double>(running_jobs_));
 
+  release_pins(record);
+
   record.exit_code = result.exit_code;
   record.cpu_cost = result.cpu_cost;
   record.error_content = result.error;
@@ -1257,30 +1420,16 @@ void ShadowServer::finish_job(u64 job_id, job::ExecutionResult result) {
                         if (finished.ok()) deliver_output(*finished.value());
                       });
 
-  release_pins(record);
-
   // A freed job slot may unblock the next queued job.
   schedule_jobs();
 }
 
-void ShadowServer::release_pins(const job::JobRecord& finished) {
-  for (const auto& ref : finished.files) {
-    const std::string key = domains_.cache_key(ref.file);
-    auto it = pinned_.find(key);
-    if (it == pinned_.end()) continue;
-    bool still_needed = false;
-    for (const auto& [id, record] : queue_.all()) {
-      if (record.job_id == finished.job_id) continue;
-      if (record.state != proto::JobState::kQueued &&
-          record.state != proto::JobState::kWaitingFiles &&
-          record.state != proto::JobState::kRunning) {
-        continue;
-      }
-      for (const auto& other_ref : record.files) {
-        if (domains_.cache_key(other_ref.file) == key) still_needed = true;
-      }
-    }
-    if (!still_needed) pinned_.erase(it);
+void ShadowServer::release_pins(const job::JobRecord& finishing) {
+  for (const auto& key : finishing.input_keys) {
+    // `finishing` is still running, so it is always a reader; a pin it
+    // alone reads is no longer needed.
+    const auto* readers = queue_.readers_of(key);
+    if (readers != nullptr && readers->size() == 1) pinned_.erase(key);
   }
 }
 
@@ -1528,6 +1677,7 @@ Status ShadowServer::restore_state(const Bytes& snapshot) {
     return Error{ErrorCode::kProtocolError, "trailing bytes in snapshot"};
   }
   outstanding_pulls_ = 0;
+  reindex_jobs();
   return Status();
 }
 
@@ -1539,6 +1689,7 @@ void ShadowServer::reset_volatile_state() {
   output_cache_.clear();
   pinned_.clear();
   outstanding_pulls_ = 0;
+  reindex_jobs();
 }
 
 namespace {
@@ -1617,6 +1768,7 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       // assigned was bound in the pre-pass.
       for (const auto& ref : job.files) {
         FileState& state = file_state(ref.file);
+        job.input_keys.push_back(state.cache_key);
         if (ref.version > state.latest_known) {
           state.latest_known = ref.version;
           state.latest_crc = ref.crc;
@@ -1631,11 +1783,11 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       SHADOW_ASSIGN_OR_RETURN(job_id, r.get_varint());
       auto found = queue_.find(job_id);
       if (!found.ok()) return Status();  // older than the snapshot horizon
-      job::JobRecord& job = *found.value();
+      const job::JobRecord& job = *found.value();
       if (job.state == proto::JobState::kQueued ||
           job.state == proto::JobState::kWaitingFiles) {
-        job.state = proto::JobState::kRunning;
-        job.detail = "running (journal)";
+        queue_.restore_state(job_id, proto::JobState::kRunning,
+                             "running (journal)");
       }
       return Status();
     }
@@ -1655,23 +1807,23 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       if (!found.ok()) return Status();
       job::JobRecord& job = *found.value();
       if (job.state == proto::JobState::kDelivered) return Status();
-      job.state = static_cast<proto::JobState>(state_raw);
+      queue_.restore_state(job_id, static_cast<proto::JobState>(state_raw),
+                           detail);
       job.exit_code = static_cast<int>(exit_code);
       job.output_content = std::move(output_content);
       job.error_content = std::move(error_content);
       job.cpu_cost = cpu_cost;
-      job.detail = std::move(detail);
       return Status();
     }
     case persist::RecordType::kJobDelivered: {
       SHADOW_ASSIGN_OR_RETURN(job_id, r.get_varint());
       auto found = queue_.find(job_id);
       if (!found.ok()) return Status();
-      job::JobRecord& job = *found.value();
+      const job::JobRecord& job = *found.value();
       if (job.state == proto::JobState::kCompleted ||
           job.state == proto::JobState::kFailed) {
-        job.state = proto::JobState::kDelivered;
-        job.detail = "output delivered";
+        queue_.restore_state(job_id, proto::JobState::kDelivered,
+                             "output delivered");
       }
       return Status();
     }
@@ -1693,7 +1845,11 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
 }
 
 void ShadowServer::requeue_orphans() {
-  for (auto& [id, record] : queue_.all_mutable()) {
+  // Copied: failing an orphan takes it out of the active set.
+  const std::vector<u64> active(queue_.active_ids().begin(),
+                                queue_.active_ids().end());
+  for (const u64 id : active) {
+    job::JobRecord& record = *queue_.find(id).value();
     if (record.state != proto::JobState::kRunning) continue;
     if (record.retries >= config_.max_job_retries) {
       // Enough is enough: a job that dies with the server on every
@@ -1701,9 +1857,9 @@ void ShadowServer::requeue_orphans() {
       // failure is delivered like any other result).
       ++stats_.retry_capped_jobs;
       ++stats_.jobs_failed;
-      record.state = proto::JobState::kFailed;
+      queue_.restore_state(id, proto::JobState::kFailed,
+                           "failed: interrupted by repeated server crashes");
       record.exit_code = 2;
-      record.detail = "failed: interrupted by repeated server crashes";
       record.error_content =
           "job " + std::to_string(id) + " was interrupted by a server "
           "crash " + std::to_string(record.retries + 1) + " time(s); "
@@ -1766,6 +1922,7 @@ Status ShadowServer::recover_from_storage() {
   }
 
   requeue_orphans();
+  reindex_jobs();
 
   record_event(telemetry::EventKind::kServer,
                "recovered from storage: " +
@@ -1845,10 +2002,73 @@ void ShadowServer::sync_telemetry() const {
   load_monitor_.publish(p);
 }
 
+Status ShadowServer::check_job_indexes() const {
+  SHADOW_TRY(queue_.check_indexes());
+  auto fail = [](u64 id, const std::string& what) {
+    return Error{ErrorCode::kInternal,
+                 "job " + std::to_string(id) + ": " + what};
+  };
+  std::size_t wait_refs = 0;
+  for (const auto& [id, waits] : pull_slot_waits_) wait_refs += waits;
+  if (wait_refs != pull_slot_wait_refs_) {
+    return Error{ErrorCode::kInternal, "pull-slot wait total is stale"};
+  }
+  for (const auto& [id, record] : queue_.all()) {
+    const bool active = queue_.active_ids().count(id) != 0;
+    if (record.input_keys.size() != (active ? record.files.size() : 0)) {
+      return fail(id, "input keys not resolved");
+    }
+    for (std::size_t i = 0; i < record.input_keys.size(); ++i) {
+      if (domains_.find_cache_key(record.files[i].file) !=
+          record.input_keys[i]) {
+        return fail(id, "input key " + record.input_keys[i] + " is stale");
+      }
+    }
+    const bool unstarted = record.state == proto::JobState::kQueued ||
+                           record.state == proto::JobState::kWaitingFiles;
+    const bool marked = jobs_to_visit_.count(id) != 0;
+    const auto waits = pull_slot_waits_.find(id);
+    if (!unstarted) {
+      if (marked || waits != pull_slot_waits_.end()) {
+        return fail(id, "scheduled for a visit but not waiting");
+      }
+      continue;
+    }
+    if (files_ready(record) != queue_.is_ready(id)) {
+      return fail(id, "ready index disagrees with the cache");
+    }
+    if (marked || queue_.is_ready(id)) continue;
+    // Skipped by the next pass: its visit there must change nothing but
+    // (for pull-slot waiters) the deferral count.
+    if (record.state == proto::JobState::kQueued) {
+      return fail(id, "queued but never visited");
+    }
+    std::size_t actionable = 0;
+    for (std::size_t i = 0; i < record.files.size(); ++i) {
+      auto state = files_.find(record.input_keys[i]);
+      bool materialize = false;
+      if (state != files_.end() &&
+          pull_needed(state->second, /*need_bytes=*/true, materialize) &&
+          has_client(state->second.owner_client)) {
+        ++actionable;
+      }
+    }
+    const std::size_t counted =
+        waits == pull_slot_waits_.end() ? 0 : waits->second;
+    if (actionable != counted) {
+      return fail(id, std::to_string(actionable) +
+                          " pull(s) to retry, but the scheduler counts " +
+                          std::to_string(counted));
+    }
+  }
+  return Status();
+}
+
 void ShadowServer::evict_file(const naming::GlobalFileId& id) {
   const std::string key = domains_.cache_key(id);
   cache_.erase(key);
   pinned_.erase(key);
+  touch_file(key);
   persist_eviction(key);
 }
 

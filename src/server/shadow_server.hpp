@@ -252,6 +252,11 @@ class ShadowServer {
   /// Failure injection for tests: drop a cached file as if evicted.
   void evict_file(const naming::GlobalFileId& id);
 
+  /// Recompute the job queue's indexes and the scheduler's bookkeeping
+  /// from the job map, cache and file state; an error names the first
+  /// disagreement (tests call this after every step of a random run).
+  Status check_job_indexes() const;
+
   /// One retransmit round on every reliable session (no-op without
   /// config.reliable_session). Returns the number of frames resent.
   /// Also reaps doomed connections and expires stale leases.
@@ -336,6 +341,9 @@ class ShadowServer {
  private:
   struct Connection {
     net::Transport* transport = nullptr;
+    /// Never reused by this server: the identity duplicate-submit
+    /// detection is scoped to (a freed Connection's address can be).
+    u64 serial = 0;
     /// Present iff config.reliable_session.
     std::unique_ptr<proto::ReliableChannel> channel;
     std::string client_name;  // empty until Hello
@@ -407,16 +415,53 @@ class ShadowServer {
   void restart_history(FileState& state);
   /// A pull in flight was lost with its connection or session: pull again.
   void rearm_pull(FileState& state);
-  /// Issue a PullRequest for `state` if flow control allows. `need_bytes`
-  /// is set when a job must materialize the file: a current-but-digest-
-  /// only cache entry then still triggers a pull (for full content),
-  /// because digests cannot feed an executor sandbox.
-  void maybe_pull(FileState& state, bool need_bytes = false);
+  /// `client` went away: re-arm the pulls in flight to it.
+  void rearm_pulls_of(const std::string& client);
+  /// True when `state` is missing the bytes or version it should hold and
+  /// no pull for it is in flight. `need_bytes` is set when a job must
+  /// materialize the file: a current-but-digest-only cache entry then
+  /// still needs a pull (for full content), because digests cannot feed
+  /// an executor sandbox; `materialize` reports that case.
+  bool pull_needed(const FileState& state, bool need_bytes,
+                   bool& materialize) const;
+  /// Issue a PullRequest for `state` if it is needed and flow control
+  /// allows. A pull for an owner with no connection waits for its Hello.
+  /// Returns true when the pull was put off by the outstanding-pull cap or
+  /// the load monitor (the caller retries it).
+  bool maybe_pull(FileState& state, bool need_bytes = false);
   /// Retry pulls deferred by the outstanding-pull cap.
   void drain_deferred_pulls();
 
-  /// Move jobs forward: pull missing files, start runnable jobs.
+  // ---- the job scheduler ----------------------------------------------
+  //
+  // A pass visits jobs oldest first, and visits only the jobs whose visit
+  // can change something; every other job's visit would be a no-op:
+  //   - ready jobs (queue_.ready_ids()), while a job slot is free;
+  //   - jobs_to_visit_: a file they read changed (touch_file), or they
+  //     are new;
+  //   - pull_slot_waits_: jobs whose pulls wait for a pull slot (or the
+  //     load monitor). While the cap stays full their visits only count
+  //     pulls_deferred again, so the pass adds those counts without
+  //     visiting them.
+
+  /// Visit the jobs that can move: pull missing files, start ready jobs.
   void schedule_jobs();
+  /// A pass that first marks every active job for a visit (Hello, resync,
+  /// recovery: what a job waits for may have come back).
+  void schedule_all();
+  void visit_job(job::JobRecord& record);
+  /// The file under `key` changed (content, version, pull or owner):
+  /// refresh the readiness of the jobs reading it and visit them at the
+  /// next pass.
+  void touch_file(const std::string& key);
+  void mark_for_visit(u64 job_id);
+  void forget_pull_slot_wait(u64 job_id);
+  /// Sum of pull_slot_waits_ over jobs after `cursor`.
+  std::size_t pull_slot_waits_after(u64 cursor) const;
+  /// Resolve every job's input keys and rebuild all scheduling state
+  /// (after a snapshot restore or journal replay).
+  void reindex_jobs();
+  FileState& input_state(const job::JobRecord& record, std::size_t i);
   bool files_ready(const job::JobRecord& record) const;
   /// Bytes of `key` at `version` or newer that a job can read: a cache
   /// entry holding content, else a pin. Digest-only entries never count.
@@ -437,8 +482,9 @@ class ShadowServer {
   /// Reverse-shadow signature: identifies "the same job" across re-runs.
   static std::string job_signature(const job::JobRecord& record);
 
-  /// Drop pinned copies no longer needed by any active job.
-  void release_pins(const job::JobRecord& finished);
+  /// Drop pinned copies no other active job reads (called while
+  /// `finishing` still runs).
+  void release_pins(const job::JobRecord& finishing);
 
   /// Postpone work while overloaded; retries are self-scheduled.
   bool load_says_wait();
@@ -477,9 +523,9 @@ class ShadowServer {
   /// Arm the commit-window flush for the just-staged record (simulator:
   /// schedule; real time: open the window for pump_persist()).
   void schedule_window_flush();
-  /// Send only if `conn` is still one of ours under the same client name
-  /// (deferred acks may outlive a detach).
-  void send_if_attached(Connection* conn, const std::string& client_name,
+  /// Send only if the connection with this serial is still one of ours
+  /// under the same client name (deferred acks may outlive a detach).
+  void send_if_attached(u64 serial, const std::string& client_name,
                         const proto::Message& m);
   /// Non-gating eviction record (losing it costs a re-pull, not
   /// correctness).
@@ -512,11 +558,16 @@ class ShadowServer {
   job::Executor executor_;
   ServerStats stats_;
 
-  std::vector<std::unique_ptr<Connection>> connections_;
+  std::map<u64, std::unique_ptr<Connection>> connections_;  // by serial
+  u64 next_connection_serial_ = 1;
   std::map<std::string, Connection*> clients_;  // name -> connection
   std::map<std::string, FileState> files_;      // cache key -> state
   std::size_t outstanding_pulls_ = 0;
   std::size_t running_jobs_ = 0;
+
+  std::set<u64> jobs_to_visit_;
+  std::map<u64, std::size_t> pull_slot_waits_;  // job -> refs put off
+  std::size_t pull_slot_wait_refs_ = 0;         // sum of pull_slot_waits_
 
   struct OutputCacheEntry {
     u64 generation = 0;

@@ -39,6 +39,22 @@ TEST(ShadowCacheTest, ReplaceUpdatesBytes) {
   EXPECT_EQ(cache.version_of("k").value(), 2u);
 }
 
+// Replacing the least recently used entry under pressure evicts the
+// others, never the entry being replaced.
+TEST(ShadowCacheTest, ReplacingTheLruEntryUnderPressureKeepsIt) {
+  ShadowCache cache(100, EvictionPolicy::kLru);
+  ASSERT_TRUE(cache.put("a", 1, std::string(50, 'a'), 1).ok());
+  ASSERT_TRUE(cache.put("b", 1, std::string(40, 'b'), 1).ok());
+  ASSERT_TRUE(cache.get("b").ok());  // "a" is now least recently used
+  ASSERT_TRUE(cache.put("a", 2, std::string(70, 'A'), 2).ok());
+  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.bytes_used(), 70u);
+  auto a = cache.get("a");
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a.value()->version, 2u);
+  EXPECT_FALSE(cache.contains("b"));
+}
+
 TEST(ShadowCacheTest, VersionOfDoesNotCountAsHit) {
   ShadowCache cache;
   ASSERT_TRUE(put(cache, "k", 3, "x").ok());

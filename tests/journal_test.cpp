@@ -562,7 +562,7 @@ TEST(JobCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(got.error_content, "some err");
   EXPECT_EQ(got.cpu_cost, 9999u);
   EXPECT_EQ(got.retries, 2u);
-  EXPECT_EQ(got.submitted_via, nullptr) << "connection identity not persisted";
+  EXPECT_EQ(got.submitted_via, 0u) << "connection identity not persisted";
 }
 
 TEST(JobCodecTest, RejectsBadState) {

@@ -2,6 +2,8 @@
 // directly over loopback so individual messages can be forged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cdc/cdc_delta.hpp"
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
@@ -479,6 +481,111 @@ TEST_F(ServerEdgeTest, PullCapRespectedAcrossManyNotifies) {
   pump();
   EXPECT_LE(server_->stats().pulls_sent, server_->config().max_outstanding_pulls);
   EXPECT_GT(server_->stats().pulls_deferred, 0u);
+}
+
+// A pull in flight to a client that disconnects dies with its socket. The
+// server must pull the version again once the client is back, not treat
+// the dead request as still in flight.
+TEST_F(ServerEdgeTest, PullLostWithDisconnectIsSentAgainAfterReconnect) {
+  proto::NotifyNewVersion notify;
+  notify.file = file_id(7);
+  notify.version = 3;
+  notify.size = 10;
+  notify.crc = 0x77;
+  send(notify);
+  pump();
+  ASSERT_EQ(count_of<proto::PullRequest>(), 1u);
+
+  server_->detach(pair_.b.get());
+  pair_ = net::make_loopback_pair("ws", "super");
+  server_->attach(pair_.b.get());
+  pair_.a->set_receiver([this](Bytes wire) {
+    auto m = proto::decode_message(wire);
+    if (m.ok()) received_.push_back(std::move(m).take());
+  });
+  received_.clear();
+  send(proto::Hello{"ws", "net-x"});
+  send(notify);  // the client re-announces what it holds
+  pump();
+  EXPECT_EQ(count_of<proto::PullRequest>(), 1u);
+  const auto* pull = last_of<proto::PullRequest>();
+  ASSERT_NE(pull, nullptr);
+  EXPECT_EQ(pull->want_version, 3u);
+}
+
+// A job's input owner is away: the pull waits for its Hello instead of
+// going nowhere and looking in flight forever. Once the owner is back and
+// answers, the job runs.
+TEST_F(ServerEdgeTest, JobInputPullWaitsForItsOwnerToReconnect) {
+  proto::SubmitJob submit;
+  submit.client_job_token = 1;
+  submit.command_file = "cat in\n";
+  proto::JobFileRef ref;
+  ref.file = file_id(8);
+  ref.local_name = "in";
+  ref.version = 1;
+  submit.files.push_back(ref);
+  send(submit);
+  pump();
+  ASSERT_EQ(count_of<proto::PullRequest>(), 1u);
+
+  server_->detach(pair_.b.get());
+  // Another client's Hello runs a full scheduling pass while ws is away.
+  auto other = net::make_loopback_pair("ws2", "super");
+  server_->attach(other.b.get());
+  ASSERT_TRUE(other.a->send(proto::encode_message(proto::Hello{"ws2", "net-x"}))
+                  .ok());
+  net::pump(other);
+  EXPECT_EQ(server_->stats().pulls_sent, 1u) << "no pull to an absent owner";
+
+  pair_ = net::make_loopback_pair("ws", "super");
+  server_->attach(pair_.b.get());
+  pair_.a->set_receiver([this](Bytes wire) {
+    auto m = proto::decode_message(wire);
+    if (m.ok()) received_.push_back(std::move(m).take());
+  });
+  received_.clear();
+  send(proto::Hello{"ws", "net-x"});
+  pump();
+  ASSERT_EQ(count_of<proto::PullRequest>(), 1u);
+  proto::Update update;
+  update.file = file_id(8);
+  update.new_version = 1;
+  update.payload = pack_delta(diff::Delta::make_full("back\n"));
+  send(update);
+  pump();
+  const auto* out = last_of<proto::JobOutput>();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->exit_code, 0);
+}
+
+// A restarted client's token counter starts over. Its first job must be a
+// new job even when its new Connection is allocated where the old one was.
+TEST_F(ServerEdgeTest, ReconnectedClientNeverGetsAnOldJobsId) {
+  std::vector<u64> ids;
+  for (int round = 0; round < 20; ++round) {
+    server_->detach(pair_.b.get());
+    pair_ = net::make_loopback_pair("ws", "super");
+    server_->attach(pair_.b.get());
+    pair_.a->set_receiver([this](Bytes wire) {
+      auto m = proto::decode_message(wire);
+      if (m.ok()) received_.push_back(std::move(m).take());
+    });
+    received_.clear();
+    send(proto::Hello{"ws", "net-x"});
+    proto::SubmitJob submit;
+    submit.client_job_token = 1;
+    submit.command_file = "echo again\n";
+    send(submit);
+    pump();
+    const auto* reply = last_of<proto::SubmitReply>();
+    ASSERT_NE(reply, nullptr);
+    ASSERT_TRUE(reply->accepted);
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), reply->job_id), 0)
+        << "round " << round << " got job " << reply->job_id << " again";
+    ids.push_back(reply->job_id);
+  }
+  EXPECT_EQ(server_->stats().jobs_submitted, 20u);
 }
 
 }  // namespace
