@@ -249,24 +249,30 @@ void ShadowServer::detach(net::Transport* transport) {
     if (it->second->transport != transport) continue;
     Connection* raw = it->second.get();
     if (!raw->client_name.empty()) {
-      auto named = clients_.find(raw->client_name);
-      if (named != clients_.end() && named->second == raw) {
-        clients_.erase(named);
-      }
-      // Pulls in flight to this client died with its socket; re-arm them
-      // so its next Hello pulls again.
-      rearm_pulls_of(raw->client_name);
       record_event(telemetry::EventKind::kServer,
                    "client " + raw->client_name + " disconnected");
     }
-    // Jobs this connection submitted keep their record. Nothing can be
-    // resent over it any more, and its serial is never given to another
-    // connection, so a client reconnecting (even on a Connection allocated
-    // at the same address) never matches them as a resend.
-    queue_.forget_connection(raw->serial);
+    release_connection(raw);
     connections_.erase(it);
     return;
   }
+}
+
+void ShadowServer::release_connection(Connection* raw) {
+  if (!raw->client_name.empty()) {
+    auto named = clients_.find(raw->client_name);
+    if (named != clients_.end() && named->second == raw) {
+      clients_.erase(named);
+    }
+    // Pulls in flight to this client died with its socket or send queue;
+    // want them again, so its next Hello (or re-announce) pulls again.
+    rearm_pulls_of(raw->client_name);
+  }
+  // Jobs this connection submitted keep their record. Nothing can be
+  // resent over it any more, and its serial is never given to another
+  // connection, so a client reconnecting (even on a Connection allocated
+  // at the same address) never matches them as a resend.
+  queue_.forget_connection(raw->serial);
 }
 
 void ShadowServer::doom_connection(Connection* conn, const std::string& why) {
@@ -297,17 +303,7 @@ std::size_t ShadowServer::reap_doomed() {
     // Connection (event-loop-owned sockets, sim links), and its receiver
     // lambda captures the raw pointer being freed here.
     raw->transport->set_receiver(nullptr);
-    if (!raw->client_name.empty()) {
-      auto named = clients_.find(raw->client_name);
-      if (named != clients_.end() && named->second == raw) {
-        clients_.erase(named);
-      }
-      // Pulls in flight to this client died with its send queue. Re-arm
-      // them so a plain (non-reliable-session) reconnect's re-announce
-      // pulls again instead of waiting forever on a dead request.
-      rearm_pulls_of(raw->client_name);
-    }
-    queue_.forget_connection(raw->serial);
+    release_connection(raw);
     it = connections_.erase(it);
     ++reaped;
   }
@@ -432,14 +428,16 @@ void ShadowServer::resync_connection(Connection* conn) {
                "session resync with " +
                    (conn->client_name.empty() ? std::string("<pre-hello>")
                                               : conn->client_name));
-  // Frames may have been lost in either direction. Re-arm every pull that
-  // was in flight (the request or its answer may be gone) and re-deliver
-  // outputs the client never acknowledged; duplicates are harmless — the
-  // client's handlers are idempotent and nack what it cannot apply.
-  for (auto& [key, state] : files_) rearm_pull(state);
-  drain_deferred_pulls();
-  if (!conn->client_name.empty()) redeliver_outputs(conn->client_name);
-  schedule_all();
+  // Frames may have been lost in either direction on this session. Re-arm
+  // the pulls in flight to its client (the request or its answer may be
+  // gone) and re-deliver outputs it never acknowledged; duplicates are
+  // harmless — the client's handlers are idempotent and nack what it
+  // cannot apply. Other clients' sessions lost nothing.
+  if (!conn->client_name.empty()) {
+    rearm_pulls_of(conn->client_name);
+    redeliver_outputs(conn->client_name);
+  }
+  schedule_jobs();
 }
 
 proto::ReliableChannel::Stats ShadowServer::session_stats() const {
@@ -606,16 +604,14 @@ void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
   reply.codecs = server_codecs;
   send(conn, reply);
   // Pulls of this client's files that waited for it to (re)connect.
-  for (auto& [key, state] : files_) {
-    if (state.pull_wanted && state.owner_client == m.client_name) {
-      maybe_pull(state);
-    }
+  for (const std::string& key : pulls_.held_for(m.client_name)) {
+    maybe_pull(files_.at(key));
   }
   // Results that finished while the client was away (e.g. the server was
   // restarted from its journal): deliver now that there is a connection.
   // Harmless on a first-ever Hello — the queue has nothing for this name.
   redeliver_outputs(m.client_name);
-  schedule_all();
+  schedule_jobs();
 }
 
 void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
@@ -654,28 +650,14 @@ void ShadowServer::restart_history(FileState& state) {
   cache_.erase(state.cache_key);
   persist_eviction(state.cache_key);
   state.latest_known = 0;
-  if (state.pull_outstanding != 0 && outstanding_pulls_ > 0) {
-    --outstanding_pulls_;
-  }
-  state.pull_outstanding = 0;
+  const bool freed = pulls_.end(state.cache_key, PullTable::kCancel);
   touch_file(state.cache_key);
-}
-
-void ShadowServer::rearm_pull(FileState& state) {
-  if (state.pull_outstanding == 0) return;
-  state.pull_outstanding = 0;
-  if (outstanding_pulls_ > 0) --outstanding_pulls_;
-  state.pull_wanted = true;
-  touch_file(state.cache_key);
+  if (freed) drain_deferred_pulls();
 }
 
 void ShadowServer::rearm_pulls_of(const std::string& client) {
-  for (auto& [key, state] : files_) {
-    if (state.owner_client != client) continue;
-    rearm_pull(state);
-    // Its jobs' pulls now wait for the owner, not for a pull slot.
-    touch_file(key);
-  }
+  pulls_.rearm_owner(client, /*held=*/!has_client(client));
+  drain_deferred_pulls();
 }
 
 bool ShadowServer::pull_needed(const FileState& state, bool need_bytes,
@@ -697,28 +679,46 @@ bool ShadowServer::pull_needed(const FileState& state, bool need_bytes,
     }
     materialize = true;
   }
-  if (state.pull_outstanding >= state.latest_known) return false;  // in flight
+  if (pulls_.asked(state.cache_key) >= state.latest_known) {
+    return false;  // in flight
+  }
   return !state.owner_client.empty();
 }
 
 bool ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
+  const std::string& key = state.cache_key;
+  // A job's need for bytes outlives the deferral that recorded it.
+  const PullTable::Want* wanted = pulls_.wanted(key);
+  need_bytes = need_bytes || (wanted != nullptr && wanted->need_bytes);
   bool materialize = false;
-  if (!pull_needed(state, need_bytes, materialize)) return false;
-  if (!has_client(state.owner_client)) {
-    // No one to ask: a request now would be lost, and the pull would
-    // look in flight forever. The owner's Hello retries it.
-    state.pull_wanted = true;
+  if (!pull_needed(state, need_bytes, materialize)) {
+    if (wanted != nullptr) pulls_.end(key, PullTable::kCancel);  // stale
     return false;
   }
-  if (load_says_wait()) {
-    state.pull_wanted = true;  // picked up by the load monitor's retry
+  // A file holds at most one slot: a newer version of a file in flight is
+  // asked for at once, and its pull replaces the older one.
+  const bool holds_slot = pulls_.asked(key) != 0;
+  if (!has_client(state.owner_client)) {
+    // No one to ask: a request now would be lost, and the pull would
+    // look in flight forever. The owner's Hello retries it. A file still
+    // in flight to its old owner waits for that answer instead, which
+    // touches the jobs reading it.
+    if (!holds_slot) {
+      pulls_.want(key, state.owner_client, need_bytes, /*held=*/true);
+    }
+    return false;
+  }
+  if (!holds_slot && load_says_wait()) {
+    // Picked up by the load monitor's retry.
+    pulls_.want(key, state.owner_client, need_bytes, /*held=*/false);
     return true;
   }
-  if (outstanding_pulls_ >= config_.max_outstanding_pulls) {
-    // Flow control: the server refuses to be overrun (§5.2); retry after
-    // the next update drains a slot.
-    state.pull_wanted = true;
-    ++stats_.pulls_deferred;
+  if (!holds_slot && pulls_.in_flight() >= config_.max_outstanding_pulls) {
+    // Flow control: the server refuses to be overrun (§5.2); the next
+    // freed slot retries it. Counted once, when first put off.
+    if (pulls_.want(key, state.owner_client, need_bytes, /*held=*/false)) {
+      ++stats_.pulls_deferred;
+    }
     return true;
   }
   const cache::CacheEntry* entry = cache_.peek(state.cache_key);
@@ -738,19 +738,22 @@ bool ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
     pull.have_version = entry == nullptr ? 0 : entry->version;
   }
   pull.want_version = state.latest_known;
-  state.pull_outstanding = state.latest_known;
-  state.pull_wanted = false;
-  ++outstanding_pulls_;
+  pulls_.begin(key, state.owner_client, state.latest_known, need_bytes);
   ++stats_.pulls_sent;
   send_to(state.owner_client, pull);
-  touch_file(state.cache_key);
   return false;
 }
 
 void ShadowServer::drain_deferred_pulls() {
-  for (auto& [key, state] : files_) {
-    if (outstanding_pulls_ >= config_.max_outstanding_pulls) return;
-    if (state.pull_wanted) maybe_pull(state);
+  // In key order; the cursor steps past a pull that is held instead
+  // (its owner is gone).
+  std::string cursor;
+  while (pulls_.in_flight() < config_.max_outstanding_pulls) {
+    const auto& queue = pulls_.retry_queue();
+    const auto next = queue.upper_bound(cursor);
+    if (next == queue.end()) return;
+    cursor = *next;  // a copy: sending the pull dequeues it
+    if (maybe_pull(files_.at(cursor))) return;  // the load monitor says wait
   }
 }
 
@@ -759,12 +762,10 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   stats_.update_bytes += m.payload.size();
   FileState& state = file_state(m.file);
   state.owner_client = conn->client_name;
-  if (state.pull_outstanding != 0) {
-    state.pull_outstanding = 0;
-    if (outstanding_pulls_ > 0) --outstanding_pulls_;
-  } else {
+  if (pulls_.asked(state.cache_key) == 0) {
     ++stats_.unsolicited_updates;  // request-driven client pushing
   }
+  if (pulls_.end(state.cache_key, m.new_version)) drain_deferred_pulls();
   touch_file(state.cache_key);
 
   // Unwrap compression, then the delta.
@@ -910,7 +911,6 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
         ack.version = version;
         ack.ok = true;
         send_if_attached(serial, client, ack);
-        drain_deferred_pulls();
         schedule_jobs();
       });
 }
@@ -1021,8 +1021,8 @@ void ShadowServer::repull_full(Connection* conn, FileState& state,
   pull.file = m.file;
   pull.have_version = 0;
   pull.want_version = m.new_version;
-  state.pull_outstanding = m.new_version;
-  ++outstanding_pulls_;
+  pulls_.begin(state.cache_key, conn->client_name, m.new_version,
+               /*need_bytes=*/false);
   ++stats_.pulls_sent;
   send(conn, pull);
 }
@@ -1119,7 +1119,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   }
   const u64 job_id = queue_.add(std::move(record));
   queue_.set_ready(job_id, files_ready(*queue_.find(job_id).value()));
-  mark_for_visit(job_id);
+  jobs_to_visit_.insert(job_id);
 
   // Journal the accepted job before the SubmitReply: an acked job id is a
   // promise that the job survives a server crash. If the record is never
@@ -1191,40 +1191,8 @@ void ShadowServer::touch_file(const std::string& key) {
       continue;  // running: its sandbox is already filled
     }
     queue_.set_ready(id, files_ready(record));
-    mark_for_visit(id);
+    jobs_to_visit_.insert(id);
   }
-}
-
-void ShadowServer::mark_for_visit(u64 job_id) {
-  forget_pull_slot_wait(job_id);
-  jobs_to_visit_.insert(job_id);
-}
-
-void ShadowServer::forget_pull_slot_wait(u64 job_id) {
-  auto waits = pull_slot_waits_.find(job_id);
-  if (waits == pull_slot_waits_.end()) return;
-  pull_slot_wait_refs_ -= waits->second;
-  pull_slot_waits_.erase(waits);
-}
-
-std::size_t ShadowServer::pull_slot_waits_after(u64 cursor) const {
-  if (pull_slot_waits_.empty()) return 0;
-  if (cursor < pull_slot_waits_.begin()->first) return pull_slot_wait_refs_;
-  std::size_t refs = 0;
-  for (auto it = pull_slot_waits_.upper_bound(cursor);
-       it != pull_slot_waits_.end(); ++it) {
-    refs += it->second;
-  }
-  return refs;
-}
-
-void ShadowServer::schedule_all() {
-  for (const u64 id : queue_.active_ids()) {
-    if (queue_.find(id).value()->state != proto::JobState::kRunning) {
-      mark_for_visit(id);
-    }
-  }
-  schedule_jobs();
 }
 
 void ShadowServer::schedule_jobs() {
@@ -1232,19 +1200,8 @@ void ShadowServer::schedule_jobs() {
   // cursor re-finds its place after every visit: a visit may start a job,
   // finish it inline and run a nested pass that changes these sets.
   constexpr u64 kNone = ~u64{0};
-  // Under the load monitor a put-off pull also asks it again, so those
-  // visits are made in full.
-  const bool load_gated = config_.load.high_water > 0;
-  bool waits_counted = false;
   u64 cursor = 0;
   for (;;) {
-    if (!waits_counted && !load_gated &&
-        outstanding_pulls_ >= config_.max_outstanding_pulls) {
-      // Nothing in a pass frees a pull slot, so every remaining visit of
-      // a job waiting for one would only count its pulls deferred again.
-      stats_.pulls_deferred += pull_slot_waits_after(cursor);
-      waits_counted = true;
-    }
     u64 next = kNone;
     if (auto it = jobs_to_visit_.upper_bound(cursor);
         it != jobs_to_visit_.end()) {
@@ -1256,12 +1213,6 @@ void ShadowServer::schedule_jobs() {
         next = std::min(next, *it);
       }
     }
-    if (!waits_counted) {
-      if (auto it = pull_slot_waits_.upper_bound(cursor);
-          it != pull_slot_waits_.end()) {
-        next = std::min(next, it->first);
-      }
-    }
     if (next == kNone) return;
     cursor = next;
     visit_job(*queue_.find(next).value());
@@ -1270,7 +1221,6 @@ void ShadowServer::schedule_jobs() {
 
 void ShadowServer::visit_job(job::JobRecord& record) {
   const u64 id = record.job_id;
-  forget_pull_slot_wait(id);
   jobs_to_visit_.erase(id);
   if (record.state != proto::JobState::kQueued &&
       record.state != proto::JobState::kWaitingFiles) {
@@ -1287,15 +1237,9 @@ void ShadowServer::visit_job(job::JobRecord& record) {
     (void)queue_.transition(id, proto::JobState::kWaitingFiles,
                             "waiting for input files");
   }
-  std::size_t put_off = 0;
   for (std::size_t i = 0; i < record.files.size(); ++i) {
     // Jobs need bytes: a current-but-digest-only entry still pulls.
-    if (maybe_pull(input_state(record, i), /*need_bytes=*/true)) ++put_off;
-  }
-  // A pull this visit sent marked the job again; its next visit settles it.
-  if (put_off > 0 && jobs_to_visit_.count(id) == 0) {
-    pull_slot_waits_[id] = put_off;
-    pull_slot_wait_refs_ += put_off;
+    maybe_pull(input_state(record, i), /*need_bytes=*/true);
   }
 }
 
@@ -1304,8 +1248,6 @@ void ShadowServer::reindex_jobs() {
     return domains_.cache_key(ref.file);
   });
   jobs_to_visit_.clear();
-  pull_slot_waits_.clear();
-  pull_slot_wait_refs_ = 0;
   for (const u64 id : queue_.active_ids()) {
     const job::JobRecord& record = *queue_.find(id).value();
     if (record.state == proto::JobState::kRunning) continue;
@@ -1329,7 +1271,7 @@ void ShadowServer::start_job(job::JobRecord& record) {
     queue_.set_ready(record.job_id, false);
     (void)queue_.transition(record.job_id, proto::JobState::kWaitingFiles,
                             "input evicted before start; re-pulling");
-    mark_for_visit(record.job_id);
+    jobs_to_visit_.insert(record.job_id);
     maybe_pull(input_state(record, i), /*need_bytes=*/true);
     return;
   }
@@ -1676,7 +1618,7 @@ Status ShadowServer::restore_state(const Bytes& snapshot) {
   if (!r.at_end()) {
     return Error{ErrorCode::kProtocolError, "trailing bytes in snapshot"};
   }
-  outstanding_pulls_ = 0;
+  pulls_ = PullTable();  // no connection survives a restore
   reindex_jobs();
   return Status();
 }
@@ -1688,7 +1630,7 @@ void ShadowServer::reset_volatile_state() {
   files_.clear();
   output_cache_.clear();
   pinned_.clear();
-  outstanding_pulls_ = 0;
+  pulls_ = PullTable();
   reindex_jobs();
 }
 
@@ -1743,8 +1685,6 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
         state.latest_crc = crc;
         state.owner_client = std::move(owner);
       }
-      state.pull_outstanding = 0;
-      state.pull_wanted = false;
       // A refused put (over budget) is the cache's normal best-effort
       // behaviour, not a replay failure.
       if (digest) {
@@ -1972,7 +1912,7 @@ void ShadowServer::sync_telemetry() const {
       .set(static_cast<double>(clients_.size()));
   r.gauge(p + "server.tracked_files").set(static_cast<double>(files_.size()));
   r.gauge(p + "server.outstanding_pulls")
-      .set(static_cast<double>(outstanding_pulls_));
+      .set(static_cast<double>(pulls_.in_flight()));
   r.gauge(p + "server.running_jobs").set(static_cast<double>(running_jobs_));
   r.gauge(p + "server.active_jobs")
       .set(static_cast<double>(queue_.active_count()));
@@ -2008,11 +1948,6 @@ Status ShadowServer::check_job_indexes() const {
     return Error{ErrorCode::kInternal,
                  "job " + std::to_string(id) + ": " + what};
   };
-  std::size_t wait_refs = 0;
-  for (const auto& [id, waits] : pull_slot_waits_) wait_refs += waits;
-  if (wait_refs != pull_slot_wait_refs_) {
-    return Error{ErrorCode::kInternal, "pull-slot wait total is stale"};
-  }
   for (const auto& [id, record] : queue_.all()) {
     const bool active = queue_.active_ids().count(id) != 0;
     if (record.input_keys.size() != (active ? record.files.size() : 0)) {
@@ -2027,38 +1962,57 @@ Status ShadowServer::check_job_indexes() const {
     const bool unstarted = record.state == proto::JobState::kQueued ||
                            record.state == proto::JobState::kWaitingFiles;
     const bool marked = jobs_to_visit_.count(id) != 0;
-    const auto waits = pull_slot_waits_.find(id);
     if (!unstarted) {
-      if (marked || waits != pull_slot_waits_.end()) {
-        return fail(id, "scheduled for a visit but not waiting");
-      }
+      if (marked) return fail(id, "scheduled for a visit but not waiting");
       continue;
     }
     if (files_ready(record) != queue_.is_ready(id)) {
       return fail(id, "ready index disagrees with the cache");
     }
     if (marked || queue_.is_ready(id)) continue;
-    // Skipped by the next pass: its visit there must change nothing but
-    // (for pull-slot waiters) the deferral count.
+    // Skipped by the next pass: its visit there must change nothing, so
+    // every pull it would ask for is in flight or wanted with its bytes.
     if (record.state == proto::JobState::kQueued) {
       return fail(id, "queued but never visited");
     }
-    std::size_t actionable = 0;
-    for (std::size_t i = 0; i < record.files.size(); ++i) {
-      auto state = files_.find(record.input_keys[i]);
+    for (const auto& key : record.input_keys) {
+      const FileState& state = files_.at(key);
       bool materialize = false;
-      if (state != files_.end() &&
-          pull_needed(state->second, /*need_bytes=*/true, materialize) &&
-          has_client(state->second.owner_client)) {
-        ++actionable;
+      if (!pull_needed(state, /*need_bytes=*/true, materialize)) continue;
+      // A newer version of a file in flight waits only for an absent owner.
+      const PullTable::Want* want = pulls_.wanted(key);
+      const bool held_back =
+          pulls_.asked(key) != 0
+              ? !has_client(state.owner_client)
+              : want != nullptr && (want->need_bytes ||
+                                    pull_needed(state, false, materialize));
+      if (!held_back) {
+        return fail(id, "needs a pull of " + key + " that nothing will send");
       }
     }
-    const std::size_t counted =
-        waits == pull_slot_waits_.end() ? 0 : waits->second;
-    if (actionable != counted) {
-      return fail(id, std::to_string(actionable) +
-                          " pull(s) to retry, but the scheduler counts " +
-                          std::to_string(counted));
+  }
+  // The pull table: the published gauge counts the pulls in flight, a file
+  // has one entry, and a wanted pull waits only for a slot, the load
+  // monitor or its owner.
+  sync_telemetry();
+  const double gauge = telemetry::Registry::global()
+                           .gauge(config_.telemetry_prefix +
+                                  "server.outstanding_pulls")
+                           .value();
+  if (gauge != static_cast<double>(pulls_.flights().size())) {
+    return Error{ErrorCode::kInternal,
+                 "outstanding_pulls gauge reads " + std::to_string(gauge) +
+                     " with " + std::to_string(pulls_.flights().size()) +
+                     " pulls in flight"};
+  }
+  const bool slot_free = pulls_.in_flight() < config_.max_outstanding_pulls &&
+                         !load_monitor_.overloaded() && !load_retry_scheduled_;
+  for (const auto& [key, want] : pulls_.wants()) {
+    if (pulls_.asked(key) != 0) {
+      return Error{ErrorCode::kInternal, key + " both in flight and wanted"};
+    }
+    if (has_client(want.owner) && (want.held || slot_free)) {
+      return Error{ErrorCode::kInternal, key + " wanted with nothing to wait for"};
     }
   }
   return Status();

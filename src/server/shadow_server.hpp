@@ -25,6 +25,7 @@
 #include "proto/messages.hpp"
 #include "proto/session.hpp"
 #include "server/load_monitor.hpp"
+#include "server/pull_table.hpp"
 #include "sim/simulator.hpp"
 #include "util/result.hpp"
 
@@ -252,9 +253,13 @@ class ShadowServer {
   /// Failure injection for tests: drop a cached file as if evicted.
   void evict_file(const naming::GlobalFileId& id);
 
-  /// Recompute the job queue's indexes and the scheduler's bookkeeping
-  /// from the job map, cache and file state; an error names the first
-  /// disagreement (tests call this after every step of a random run).
+  /// Recompute the job queue's indexes, the scheduler's bookkeeping and the
+  /// pull table's invariants from the job map, cache and file state: the
+  /// server.outstanding_pulls gauge equals the pulls in flight, no file is
+  /// both in flight and wanted, and no wanted pull has a connected owner
+  /// while a slot is free and the load monitor is quiet. An error names
+  /// the first disagreement (tests call this after every step of a random
+  /// run).
   Status check_job_indexes() const;
 
   /// One retransmit round on every reliable session (no-op without
@@ -367,9 +372,7 @@ class ShadowServer {
     u64 latest_known = 0;  // newest version any client announced
     u64 latest_size = 0;
     u32 latest_crc = 0;
-    u64 pull_outstanding = 0;  // version requested, 0 = none
     std::string owner_client;  // client that serves pulls for this file
-    bool pull_wanted = false;  // deferred by flow control; retry later
   };
 
   void on_message(Connection* conn, Bytes wire);
@@ -413,9 +416,8 @@ class ShadowServer {
   /// A new owner (or a restarted client) announced different content:
   /// per-client version numbers restart, so forget the file's history.
   void restart_history(FileState& state);
-  /// A pull in flight was lost with its connection or session: pull again.
-  void rearm_pull(FileState& state);
-  /// `client` went away: re-arm the pulls in flight to it.
+  /// The pulls in flight to `client` were lost with its connection or
+  /// session: want them again (held for its Hello if it has no connection).
   void rearm_pulls_of(const std::string& client);
   /// True when `state` is missing the bytes or version it should hold and
   /// no pull for it is in flight. `need_bytes` is set when a job must
@@ -425,11 +427,12 @@ class ShadowServer {
   bool pull_needed(const FileState& state, bool need_bytes,
                    bool& materialize) const;
   /// Issue a PullRequest for `state` if it is needed and flow control
-  /// allows. A pull for an owner with no connection waits for its Hello.
-  /// Returns true when the pull was put off by the outstanding-pull cap or
-  /// the load monitor (the caller retries it).
+  /// allows; otherwise record it as wanted in pulls_. A pull for an owner
+  /// with no connection waits for its Hello. Returns true when the load
+  /// monitor or the outstanding-pull cap put it off.
   bool maybe_pull(FileState& state, bool need_bytes = false);
-  /// Retry pulls deferred by the outstanding-pull cap.
+  /// Send the queued wanted pulls, in cache-key order, while a slot is
+  /// free. Every path that frees a slot calls it.
   void drain_deferred_pulls();
 
   // ---- the job scheduler ----------------------------------------------
@@ -438,26 +441,17 @@ class ShadowServer {
   // can change something; every other job's visit would be a no-op:
   //   - ready jobs (queue_.ready_ids()), while a job slot is free;
   //   - jobs_to_visit_: a file they read changed (touch_file), or they
-  //     are new;
-  //   - pull_slot_waits_: jobs whose pulls wait for a pull slot (or the
-  //     load monitor). While the cap stays full their visits only count
-  //     pulls_deferred again, so the pass adds those counts without
-  //     visiting them.
+  //     are new.
+  // A job whose pull was put off needs no visit: the wanted entry in
+  // pulls_ records that it needs bytes, and drain_deferred_pulls sends it.
 
   /// Visit the jobs that can move: pull missing files, start ready jobs.
   void schedule_jobs();
-  /// A pass that first marks every active job for a visit (Hello, resync,
-  /// recovery: what a job waits for may have come back).
-  void schedule_all();
   void visit_job(job::JobRecord& record);
-  /// The file under `key` changed (content, version, pull or owner):
-  /// refresh the readiness of the jobs reading it and visit them at the
-  /// next pass.
+  /// The file under `key` changed (content, version, owner, or its pull
+  /// ended): refresh the readiness of the jobs reading it and visit them
+  /// at the next pass.
   void touch_file(const std::string& key);
-  void mark_for_visit(u64 job_id);
-  void forget_pull_slot_wait(u64 job_id);
-  /// Sum of pull_slot_waits_ over jobs after `cursor`.
-  std::size_t pull_slot_waits_after(u64 cursor) const;
   /// Resolve every job's input keys and rebuild all scheduling state
   /// (after a snapshot restore or journal replay).
   void reindex_jobs();
@@ -491,6 +485,9 @@ class ShadowServer {
 
   /// Current sim or steady-clock time for lease bookkeeping.
   u64 now_micros() const;
+  /// Drop a departing connection's client entry, pulls in flight and
+  /// submissions (detach and reap_doomed; the caller erases it).
+  void release_connection(Connection* raw);
   /// Mark a connection dead without touching the connection list (safe
   /// mid-dispatch); the transport is asked to close so event loops reap
   /// it, and reap_doomed() reclaims the rest.
@@ -502,8 +499,8 @@ class ShadowServer {
   void send_busy(Connection* conn, u64 client_job_token,
                  const std::string& reason);
 
-  /// Reliable-session desync recovery: re-arm pulls that were in flight
-  /// and re-deliver outputs the client never acknowledged.
+  /// Reliable-session desync recovery: re-arm the pulls in flight to this
+  /// connection's client and re-deliver outputs it never acknowledged.
   void resync_connection(Connection* conn);
 
   /// Journal one record and run `on_durable` once it is fsynced: inline
@@ -562,12 +559,10 @@ class ShadowServer {
   u64 next_connection_serial_ = 1;
   std::map<std::string, Connection*> clients_;  // name -> connection
   std::map<std::string, FileState> files_;      // cache key -> state
-  std::size_t outstanding_pulls_ = 0;
+  PullTable pulls_;                             // by cache key
   std::size_t running_jobs_ = 0;
 
   std::set<u64> jobs_to_visit_;
-  std::map<u64, std::size_t> pull_slot_waits_;  // job -> refs put off
-  std::size_t pull_slot_wait_refs_ = 0;         // sum of pull_slot_waits_
 
   struct OutputCacheEntry {
     u64 generation = 0;

@@ -2,8 +2,9 @@
 // random run (submit, resubmit, notify, update, pull answers, output acks,
 // job finishes, disconnects, evictions, snapshot restores and journal
 // replays) the queue's active ids, input readers, ready set and submission
-// index, and the scheduler's visit bookkeeping, must equal what the job
-// map, the cache and the file table imply (ShadowServer::check_job_indexes).
+// index, the scheduler's visit bookkeeping and the pull table must agree
+// with what the job map, the cache and the file table imply
+// (ShadowServer::check_job_indexes).
 // Each run ends with every client connected and answering: every job must
 // then finish.
 #include <gtest/gtest.h>
@@ -137,11 +138,9 @@ class Rig {
     send(name, submit);
   }
 
+  /// Announce a new version, even while a pull for an older one is in
+  /// flight (the newer pull then replaces it in the file's one slot).
   void notify(u64 file) {
-    // Serve a pending pull for the file first: a pull still in flight when
-    // a newer version is announced is pulled again, and the server then
-    // counts two pulls against its cap but frees only one.
-    answer_pulls_for(file);
     const u64 v = ++versions_[file];
     proto::NotifyNewVersion n;
     n.file = file_id(file);
@@ -183,22 +182,6 @@ class Rig {
       }
       if (!connected(name)) return;
     }
-  }
-
-  void answer_pulls_for(u64 file) {
-    auto& inbox = clients_.at(owner_of(file))->inbox;
-    std::vector<proto::Message> rest;
-    bool pulled = false;
-    for (auto& m : inbox) {
-      const auto* pull = std::get_if<proto::PullRequest>(&m);
-      if (pull != nullptr && pull->file == file_id(file)) {
-        pulled = true;
-      } else {
-        rest.push_back(std::move(m));
-      }
-    }
-    inbox = std::move(rest);
-    if (pulled) push_update(file);
   }
 
   /// Crash and recover from the journal (durable rigs), reconnecting

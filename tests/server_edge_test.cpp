@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "cdc/cdc_delta.hpp"
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
 #include "net/loopback.hpp"
+#include "proto/frame.hpp"
 #include "proto/messages.hpp"
+#include "proto/session.hpp"
 #include "core/system.hpp"
 #include "server/shadow_server.hpp"
 #include "telemetry/registry.hpp"
+#include "util/crc32.hpp"
 
 namespace shadow::server {
 namespace {
@@ -35,8 +39,7 @@ class ServerEdgeTest : public ::testing::Test {
  protected:
   void SetUp() override { start(proto::kAllCodecs); }
 
-  void start(u32 hello_codecs) {
-    ServerConfig sc;
+  void start(u32 hello_codecs, ServerConfig sc = ServerConfig{}) {
     sc.name = "super";
     server_ = std::make_unique<ShadowServer>(sc);
     pair_ = net::make_loopback_pair("ws", "super");
@@ -71,6 +74,13 @@ class ServerEdgeTest : public ::testing::Test {
       if (const T* m = std::get_if<T>(&*it)) return m;
     }
     return nullptr;
+  }
+
+  double outstanding_pulls_gauge() const {
+    server_->sync_telemetry();
+    return telemetry::Registry::global()
+        .gauge("server.outstanding_pulls")
+        .value();
   }
 
   std::unique_ptr<ShadowServer> server_;
@@ -295,13 +305,6 @@ class UpdateContractTest : public ServerEdgeTest,
     ASSERT_NE(ack, nullptr);
     ASSERT_TRUE(ack->ok);
     received_.clear();
-  }
-
-  double outstanding_pulls_gauge() const {
-    server_->sync_telemetry();
-    return telemetry::Registry::global()
-        .gauge("server.outstanding_pulls")
-        .value();
   }
 };
 
@@ -586,6 +589,93 @@ TEST_F(ServerEdgeTest, ReconnectedClientNeverGetsAnOldJobsId) {
     ids.push_back(reply->job_id);
   }
   EXPECT_EQ(server_->stats().jobs_submitted, 20u);
+}
+
+// A pull in flight when a newer version is announced is replaced, not
+// doubled: notify v1, notify v2 (both PullRequests go out), then the
+// answers arrive newest first. The file held one slot throughout, so no
+// slot leaks, and even a one-slot server still pulls the next file.
+TEST_F(ServerEdgeTest, OverlappingPullsHoldOneSlot) {
+  auto notify = [this](u64 inode, u64 version, const std::string& content) {
+    proto::NotifyNewVersion n;
+    n.file = file_id(inode);
+    n.version = version;
+    n.size = content.size();
+    n.crc = crc32(reinterpret_cast<const u8*>(content.data()), content.size());
+    send(n);
+    pump();
+  };
+  auto answer = [this](u64 version, const std::string& content) {
+    proto::Update update;
+    update.file = file_id(1);
+    update.new_version = version;
+    update.payload = pack_delta(diff::Delta::make_full(content));
+    send(update);
+    pump();
+  };
+  for (const std::size_t cap : {4, 1}) {
+    ServerConfig sc;
+    sc.max_outstanding_pulls = cap;
+    start(proto::kAllCodecs, sc);
+    notify(1, 1, "one\n");
+    notify(1, 2, "two\n");
+    EXPECT_EQ(count_of<proto::PullRequest>(), 2u) << "cap " << cap;
+    answer(2, "two\n");
+    answer(1, "one\n");
+    EXPECT_EQ(outstanding_pulls_gauge(), 0.0) << "cap " << cap;
+    received_.clear();
+    notify(2, 1, "other\n");
+    EXPECT_EQ(count_of<proto::PullRequest>(), 1u) << "cap " << cap;
+  }
+}
+
+// A desync loses frames on one session only. Its resync pulls again what
+// was in flight to that client; a pull in flight to another client over a
+// healthy session is not sent twice.
+TEST_F(ServerEdgeTest, ResyncRearmsOnlyItsOwnClientsPulls) {
+  ServerConfig sc;
+  sc.name = "super";
+  sc.reliable_session = true;
+  ShadowServer server(sc);
+  struct Peer {
+    net::LoopbackPair pair;
+    std::unique_ptr<proto::ReliableChannel> channel;
+    std::size_t pulls = 0;
+  };
+  std::map<std::string, Peer> peers;
+  for (const std::string name : {"a", "b"}) {
+    Peer& peer = peers[name];
+    peer.pair = net::make_loopback_pair(name, "super");
+    server.attach(peer.pair.b.get());
+    peer.channel = std::make_unique<proto::ReliableChannel>(peer.pair.a.get());
+    peer.channel->set_receiver([&peer](Bytes wire) {
+      auto m = proto::decode_message(wire);
+      if (m.ok() && std::holds_alternative<proto::PullRequest>(m.value())) {
+        ++peer.pulls;
+      }
+    });
+    proto::NotifyNewVersion notify;
+    notify.file = file_id(name == "a" ? 1 : 2);
+    notify.version = 1;
+    for (const proto::Message& m :
+         {proto::Message(proto::Hello{name, "net-x"}), proto::Message(notify)}) {
+      ASSERT_TRUE(peer.channel->send(proto::encode_message(m)).ok());
+    }
+    net::pump(peer.pair);
+    ASSERT_EQ(peer.pulls, 1u) << name;
+  }
+
+  // a's end resets the session (as after its retransmit limit): the
+  // server's session with a declares a desync and resyncs.
+  Peer& a = peers["a"];
+  ASSERT_TRUE(a.pair.a
+                  ->send(proto::encode_frame(proto::FrameType::kReset,
+                                             a.channel->next_send_seq(), {}))
+                  .ok());
+  for (auto& [name, peer] : peers) net::pump(peer.pair);
+  EXPECT_EQ(server.stats().session_resyncs, 1u);
+  EXPECT_EQ(peers["a"].pulls, 2u);
+  EXPECT_EQ(peers["b"].pulls, 1u) << "b's session lost nothing";
 }
 
 }  // namespace
