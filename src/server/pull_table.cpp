@@ -26,12 +26,12 @@ std::vector<std::string> PullTable::held_for(const std::string& owner) const {
 
 void PullTable::begin(const std::string& key, const std::string& owner,
                       u64 version, bool need_bytes) {
-  Flight flight{std::max(asked(key), version), owner, need_bytes};
   if (auto old = flights_.find(key); old != flights_.end()) {
-    flight.need_bytes = flight.need_bytes || old->second.need_bytes;
+    version = std::max(version, old->second.version);
+    need_bytes = need_bytes || old->second.need_bytes;
   }
   drop(key);
-  flights_[key] = std::move(flight);
+  flights_[key] = Flight{version, owner, need_bytes};
   by_owner_[owner].insert(key);
 }
 

@@ -255,11 +255,11 @@ class ShadowServer {
 
   /// Recompute the job queue's indexes, the scheduler's bookkeeping and the
   /// pull table's invariants from the job map, cache and file state: the
-  /// server.outstanding_pulls gauge equals the pulls in flight, no file is
-  /// both in flight and wanted, and no wanted pull has a connected owner
-  /// while a slot is free and the load monitor is quiet. An error names
-  /// the first disagreement (tests call this after every step of a random
-  /// run).
+  /// server.outstanding_pulls gauge (published again first) equals the
+  /// pulls in flight, no file is both in flight and wanted, and no wanted
+  /// pull has a connected owner while a slot is free and the load monitor
+  /// is quiet. An error names the first disagreement (tests call this
+  /// after every step of a random run).
   Status check_job_indexes() const;
 
   /// One retransmit round on every reliable session (no-op without
