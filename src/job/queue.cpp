@@ -327,14 +327,6 @@ void JobQueue::restore_state(u64 job_id, proto::JobState state,
   reindex_state(it->second, from);
 }
 
-JobRecord* JobQueue::next_schedulable() {
-  for (const u64 id : active_) {
-    JobRecord& job = jobs_.at(id);
-    if (job.state != proto::JobState::kRunning) return &job;
-  }
-  return nullptr;
-}
-
 Status JobQueue::requeue(u64 job_id, const std::string& detail) {
   SHADOW_ASSIGN_OR_RETURN(record, find(job_id));
   // kRunning -> kQueued is deliberately absent from valid_transition —

@@ -93,9 +93,6 @@ class JobQueue {
   void restore_state(u64 job_id, proto::JobState state,
                      const std::string& detail);
 
-  /// Oldest job in kQueued or kWaitingFiles state, if any (FIFO order).
-  JobRecord* next_schedulable();
-
   std::size_t size() const { return jobs_.size(); }
   std::size_t active_count() const { return active_.size(); }
 

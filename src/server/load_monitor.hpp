@@ -45,11 +45,12 @@ struct OverloadConfig {
   /// Cap on journal records staged behind the open group-commit window
   /// (each may park a deferred ack); submits beyond it are shed.
   std::size_t max_parked_acks = 0;
-  /// Cap on active (queued+waiting+running) jobs; submits beyond it are
-  /// SHED with ServerBusy + retry-after — unlike max_queued_jobs, whose
-  /// queue-full SubmitReply rejection is final. The client re-submits
-  /// from its archive after a jittered backoff, so transient bursts
-  /// queue politely at the clients instead of in the server.
+  /// Cap on active (queued+waiting+running) jobs, the server's one
+  /// job-count budget; submits beyond it are SHED with ServerBusy +
+  /// retry-after (a legacy v0 client gets a refusing SubmitReply). The
+  /// client re-submits from its archive after a jittered backoff, so
+  /// transient bursts queue politely at the clients instead of in the
+  /// server.
   std::size_t max_active_jobs = 0;
   /// Hint returned with every ServerBusy: how long the client should
   /// back off (its own jittered backoff takes this as the floor).

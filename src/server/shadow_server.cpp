@@ -182,18 +182,9 @@ void ShadowServer::send_if_attached(u64 serial,
   // client re-offers after reconnecting, so dropping the ack is safe.
 }
 
-void ShadowServer::persist_eviction(const std::string& cache_key) {
-  BufWriter w;
-  w.put_string(cache_key);
-  persist_append_then(persist::RecordType::kShadowEvicted, w.take(), nullptr);
-}
-
 bool ShadowServer::load_says_wait() {
   if (!load_monitor_.overloaded()) return false;
   ++stats_.deferred_by_load;
-  telemetry::Registry::global()
-      .counter(config_.telemetry_prefix + "load.deferrals")
-      .add();
   record_event(telemetry::EventKind::kLoad, "work deferred by load monitor");
   // Self-schedule one retry per backoff window (§3: the system tunes
   // itself — no user or client intervention).
@@ -498,17 +489,6 @@ void ShadowServer::send_to(const std::string& client_name,
   send(it->second, m);
 }
 
-void ShadowServer::deliver_to_client(const std::string& client_name,
-                                     const proto::Message& m) {
-  auto it = clients_.find(client_name);
-  if (it == clients_.end()) {
-    SHADOW_WARN() << config_.name << ": routed message for unknown client "
-                  << client_name;
-    return;
-  }
-  send(it->second, m);
-}
-
 void ShadowServer::on_message(Connection* conn, Bytes wire) {
   if (conn->doomed) return;  // dead session awaiting reap
   // Any decodable traffic renews the lease (heartbeats exist for
@@ -516,9 +496,7 @@ void ShadowServer::on_message(Connection* conn, Bytes wire) {
   conn->lease_renewed_us = now_micros();
   auto decoded = proto::decode_message(wire);
   if (!decoded.ok()) {
-    telemetry::Registry::global()
-        .counter(config_.telemetry_prefix + "server.malformed_dropped")
-        .add();
+    ++stats_.malformed_dropped;
     record_event(telemetry::EventKind::kMessage,
                  "malformed message dropped: " + decoded.error().to_string());
     SHADOW_WARN() << config_.name
@@ -547,17 +525,9 @@ void ShadowServer::on_message(Connection* conn, Bytes wire) {
       decoded.value());
 }
 
-ShadowServer::FileState& ShadowServer::file_state(
-    const naming::GlobalFileId& id) {
+FileState& ShadowServer::file_state(const naming::GlobalFileId& id) {
   const std::string key = domains_.cache_key(id);
-  auto it = files_.find(key);
-  if (it == files_.end()) {
-    FileState state;
-    state.id = id;
-    state.cache_key = key;
-    it = files_.emplace(key, std::move(state)).first;
-  }
-  return it->second;
+  return files_.try_emplace(key, id, key).first->second;
 }
 
 void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
@@ -617,29 +587,10 @@ void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
 void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
   ++stats_.notifies_received;
   FileState& state = file_state(m.file);
-  // Version numbers are per-client. If a different workstation (same NFS
-  // file, different mount path — §6.5) announces content that differs from
-  // what we track, restart this file's history under the new owner.
-  const bool owner_changed = !state.owner_client.empty() &&
-                             state.owner_client != conn->client_name;
-  // A version number at or below what we already track, with DIFFERENT
-  // content, from the same client means the client restarted and its
-  // numbering began anew.
-  const bool client_restarted =
-      !owner_changed && !state.owner_client.empty() &&
-      m.version <= state.latest_known &&
-      (m.crc != state.latest_crc || m.size != state.latest_size);
-  if ((owner_changed &&
-       (m.crc != state.latest_crc || m.size != state.latest_size)) ||
-      client_restarted) {
+  if (state.observe({ClaimSource::kNotify, conn->client_name, conn->serial,
+                     m.version, m.crc, m.size}) == Verdict::kRestart) {
     restart_history(state);
   }
-  if (m.version > state.latest_known) {
-    state.latest_known = m.version;
-    state.latest_size = m.size;
-    state.latest_crc = m.crc;
-  }
-  state.owner_client = conn->client_name;
   touch_file(state.cache_key);
   if (config_.pull_policy == PullPolicy::kEager) {
     maybe_pull(state);
@@ -648,8 +599,10 @@ void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
 
 void ShadowServer::restart_history(FileState& state) {
   cache_.erase(state.cache_key);
-  persist_eviction(state.cache_key);
-  state.latest_known = 0;
+  // Non-gating: replay re-forgets the history before the records after it.
+  BufWriter w;
+  w.put_string(state.cache_key);
+  persist_append_then(persist::RecordType::kShadowEvicted, w.take(), nullptr);
   const bool freed = pulls_.end(state.cache_key, PullTable::kCancel);
   touch_file(state.cache_key);
   if (freed) drain_deferred_pulls();
@@ -663,10 +616,10 @@ void ShadowServer::rearm_pulls_of(const std::string& client) {
 bool ShadowServer::pull_needed(const FileState& state, bool need_bytes,
                                bool& materialize) const {
   materialize = false;
-  if (state.latest_known == 0) return false;
+  if (state.latest_known() == 0) return false;
   const cache::CacheEntry* entry = cache_.peek(state.cache_key);
   const bool version_current =
-      entry != nullptr && entry->version >= state.latest_known;
+      entry != nullptr && entry->version >= state.latest_known();
   // A digest entry satisfies version tracking but cannot feed a job's
   // sandbox: when bytes are needed and only digests (and no pin) are
   // resident, pull full content for the CURRENT version.
@@ -674,15 +627,15 @@ bool ShadowServer::pull_needed(const FileState& state, bool need_bytes,
     if (!need_bytes || entry->has_bytes()) return false;  // up to date
     auto pinned = pinned_.find(state.cache_key);
     if (pinned != pinned_.end() &&
-        pinned->second.version >= state.latest_known) {
+        pinned->second.version >= state.latest_known()) {
       return false;  // bytes already pinned for the job
     }
     materialize = true;
   }
-  if (pulls_.asked(state.cache_key) >= state.latest_known) {
+  if (pulls_.asked(state.cache_key) >= state.latest_known()) {
     return false;  // in flight
   }
-  return !state.owner_client.empty();
+  return !state.owner().empty();
 }
 
 bool ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
@@ -698,25 +651,25 @@ bool ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
   // A file holds at most one slot: a newer version of a file in flight is
   // asked for at once, and its pull replaces the older one.
   const bool holds_slot = pulls_.asked(key) != 0;
-  if (!has_client(state.owner_client)) {
+  if (!has_client(state.owner())) {
     // No one to ask: a request now would be lost, and the pull would
     // look in flight forever. The owner's Hello retries it. A file still
     // in flight to its old owner waits for that answer instead, which
     // touches the jobs reading it.
     if (!holds_slot) {
-      pulls_.want(key, state.owner_client, need_bytes, /*held=*/true);
+      pulls_.want(key, state.owner(), need_bytes, /*held=*/true);
     }
     return false;
   }
   if (!holds_slot && load_says_wait()) {
     // Picked up by the load monitor's retry.
-    pulls_.want(key, state.owner_client, need_bytes, /*held=*/false);
+    pulls_.want(key, state.owner(), need_bytes, /*held=*/false);
     return true;
   }
   if (!holds_slot && pulls_.in_flight() >= config_.max_outstanding_pulls) {
     // Flow control: the server refuses to be overrun (§5.2); the next
     // freed slot retries it. Counted once, when first put off.
-    if (pulls_.want(key, state.owner_client, need_bytes, /*held=*/false)) {
+    if (pulls_.want(key, state.owner(), need_bytes, /*held=*/false)) {
       ++stats_.pulls_deferred;
     }
     return true;
@@ -737,10 +690,10 @@ bool ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
   } else {
     pull.have_version = entry == nullptr ? 0 : entry->version;
   }
-  pull.want_version = state.latest_known;
-  pulls_.begin(key, state.owner_client, state.latest_known, need_bytes);
+  pull.want_version = state.latest_known();
+  pulls_.begin(key, state.owner(), state.latest_known(), need_bytes);
   ++stats_.pulls_sent;
-  send_to(state.owner_client, pull);
+  send_to(state.owner(), pull);
   return false;
 }
 
@@ -761,7 +714,6 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   ++stats_.updates_received;
   stats_.update_bytes += m.payload.size();
   FileState& state = file_state(m.file);
-  state.owner_client = conn->client_name;
   if (pulls_.asked(state.cache_key) == 0) {
     ++stats_.unsolicited_updates;  // request-driven client pushing
   }
@@ -809,24 +761,20 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   const u32 crc = delta.target_crc();
   const u64 size = cdc ? delta.cdc.target_bytes : content->size();
 
-  // The notify for this exact version told us its CRC. A mismatch means
-  // the payload was damaged in flight yet still decoded (bit flips inside
-  // the delta text): nack so the client resends full — never cache bad
-  // bytes.
-  if (m.new_version == state.latest_known && state.latest_crc != 0 &&
-      crc != state.latest_crc) {
-    // One shot only: the RECORDED crc may itself be the corrupted half
-    // (a damaged notify). The nacked client resends full content, whose
-    // own delta CRC vouches for it; accept that resend.
-    state.latest_crc = 0;
+  const cache::CacheEntry* cached = cache_.peek(state.cache_key);
+  const Verdict verdict = state.observe(
+      {ClaimSource::kUpdate, conn->client_name, conn->serial, m.new_version,
+       crc, size, cached != nullptr ? cached->version : 0});
+  if (verdict == Verdict::kStale) {
+    ++stats_.stale_updates_dropped;  // the cache and acks stay newer
+    return;
+  }
+  if (verdict == Verdict::kMismatch) {
+    // Damaged in flight yet still decoded: never cache bad bytes.
     nack_update(conn, m, "content crc mismatch");
     return;
   }
-  if (m.new_version > state.latest_known) {
-    state.latest_known = m.new_version;
-    state.latest_size = size;
-    state.latest_crc = crc;
-  }
+  if (verdict == Verdict::kRestart) restart_history(state);
 
   // Pin the bytes if a waiting job needs them and the cache will not hold
   // them.
@@ -869,7 +817,7 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   } else {
     body.put_string(*content);
   }
-  body.put_string(state.owner_client);
+  body.put_string(state.owner());
 
   if (digest) {
     if (needed_by_job && cdc) {
@@ -909,7 +857,6 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
         proto::UpdateAck ack;
         ack.file = file;
         ack.version = version;
-        ack.ok = true;
         send_if_attached(serial, client, ack);
         schedule_jobs();
       });
@@ -1003,12 +950,10 @@ void ShadowServer::pin_cdc_target(FileState& state, const proto::Update& m,
 
 void ShadowServer::nack_update(Connection* conn, const proto::Update& m,
                                std::string error) {
-  proto::UpdateAck nack;
-  nack.file = m.file;
-  nack.version = m.new_version;
-  nack.ok = false;
-  nack.error = std::move(error);
-  send(conn, nack);
+  send(conn, proto::UpdateAck{.file = m.file,
+                              .version = m.new_version,
+                              .ok = false,
+                              .error = std::move(error)});
 }
 
 void ShadowServer::repull_full(Connection* conn, FileState& state,
@@ -1039,7 +984,6 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
     proto::SubmitReply reply;
     reply.client_job_token = m.client_job_token;
     reply.job_id = resent->job_id;
-    reply.accepted = true;
     send(conn, reply);
     if (resent->state == proto::JobState::kCompleted ||
         resent->state == proto::JobState::kFailed) {
@@ -1050,8 +994,8 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   ++stats_.jobs_submitted;
   // Unified overload budget: shed the submit with a retry hint while the
   // server is past any hard budget (drain, parked persist acks, queued
-  // output bytes). Unlike the queue-full rejection below — which is
-  // final — ServerBusy means "try the same job again in a moment".
+  // output bytes, active jobs). ServerBusy means "try the same job again
+  // in a moment".
   if (const char* refusal = admission_refusal(); refusal != nullptr) {
     ++stats_.busy_rejects;
     record_event(telemetry::EventKind::kJob,
@@ -1061,29 +1005,10 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
       send_busy(conn, m.client_job_token, refusal);
     } else {
       // Legacy clients understand only SubmitReply; refuse the old way.
-      proto::SubmitReply reject;
-      reject.client_job_token = m.client_job_token;
-      reject.job_id = 0;
-      reject.accepted = false;
-      reject.reason = refusal;
-      send(conn, reject);
+      send(conn, proto::SubmitReply{.client_job_token = m.client_job_token,
+                                    .accepted = false,
+                                    .reason = refusal});
     }
-    return;
-  }
-  // Admission control: a saturated batch queue refuses new work rather
-  // than letting it pile up without bound (§5.2's overload concern).
-  if (config_.max_queued_jobs != 0 &&
-      queue_.active_count() >= config_.max_queued_jobs) {
-    ++stats_.jobs_rejected;
-    record_event(telemetry::EventKind::kJob,
-                 "submit rejected (queue full) from " + conn->client_name);
-    proto::SubmitReply reject;
-    reject.client_job_token = m.client_job_token;
-    reject.job_id = 0;
-    reject.accepted = false;
-    reject.reason = "job queue full (" +
-                    std::to_string(config_.max_queued_jobs) + " active)";
-    send(conn, reject);
     return;
   }
   job::JobRecord record;
@@ -1101,20 +1026,10 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   for (const auto& ref : m.files) {
     FileState& state = file_state(ref.file);
     record.input_keys.push_back(state.cache_key);
-    // Owner change with different content: per-client version numbers
-    // restart, exactly as in the NotifyNewVersion handler.
-    if (!state.owner_client.empty() &&
-        state.owner_client != conn->client_name &&
-        ref.crc != state.latest_crc) {
+    if (state.observe({ClaimSource::kSubmit, conn->client_name, conn->serial,
+                       ref.version, ref.crc}) == Verdict::kRestart) {
       restart_history(state);
     }
-    if (ref.version > state.latest_known) {
-      state.latest_known = ref.version;
-      state.latest_crc = ref.crc;
-      // The submitter holds this version; it must serve the pull.
-      state.owner_client = conn->client_name;
-    }
-    if (state.owner_client.empty()) state.owner_client = conn->client_name;
     touch_file(state.cache_key);
   }
   const u64 job_id = queue_.add(std::move(record));
@@ -1144,7 +1059,6 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
         proto::SubmitReply reply;
         reply.client_job_token = token;
         reply.job_id = job_id;
-        reply.accepted = true;
         send_if_attached(serial, client, reply);
         schedule_jobs();
       });
@@ -1175,8 +1089,8 @@ bool ShadowServer::files_ready(const job::JobRecord& record) const {
   return true;
 }
 
-ShadowServer::FileState& ShadowServer::input_state(
-    const job::JobRecord& record, std::size_t i) {
+FileState& ShadowServer::input_state(const job::JobRecord& record,
+                                     std::size_t i) {
   auto it = files_.find(record.input_keys[i]);
   return it != files_.end() ? it->second : file_state(record.files[i].file);
 }
@@ -1397,7 +1311,7 @@ void ShadowServer::deliver_output(const job::JobRecord& record) {
     if (prev != output_cache_.end()) {
       output = diff::Delta::compute(prev->second.content,
                                     record.output_content,
-                                    config_.output_delta_algo);
+                                    diff::Algorithm::kHuntMcIlroy);
       if (output.needs_base()) {
         base_generation = prev->second.generation;
         ++stats_.output_delta_hits;
@@ -1534,14 +1448,7 @@ Bytes ShadowServer::save_state() const {
   cache_.encode(w);
   domains_.encode(w);
   w.put_varint(files_.size());
-  for (const auto& [key, state] : files_) {
-    w.put_string(key);
-    state.id.encode(w);
-    w.put_varint(state.latest_known);
-    w.put_varint(state.latest_size);
-    w.put_u32(state.latest_crc);
-    w.put_string(state.owner_client);
-  }
+  for (const auto& [key, state] : files_) state.encode(w);
   w.put_varint(output_cache_.size());
   for (const auto& [sig, entry] : output_cache_) {
     w.put_string(sig);
@@ -1573,20 +1480,8 @@ Status ShadowServer::restore_state(const Bytes& snapshot) {
   }
   files_.clear();
   for (u64 i = 0; i < file_count; ++i) {
-    FileState state;
-    SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
-    SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
-    SHADOW_ASSIGN_OR_RETURN(latest, r.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(size, r.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(crc, r.get_u32());
-    SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
-    state.id = std::move(id);
-    state.cache_key = key;
-    state.latest_known = latest;
-    state.latest_size = size;
-    state.latest_crc = crc;
-    state.owner_client = std::move(owner);
-    files_.emplace(std::move(key), std::move(state));
+    SHADOW_ASSIGN_OR_RETURN(state, FileState::decode(r));
+    files_.emplace(state.cache_key, std::move(state));
   }
   SHADOW_ASSIGN_OR_RETURN(output_count, r.get_varint());
   if (output_count > r.remaining()) {
@@ -1676,15 +1571,10 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       }
       SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
       domains_.bind(head.id, head.sid);
-      FileState& state = files_[head.key];
-      state.id = std::move(head.id);
-      state.cache_key = head.key;
-      if (version >= state.latest_known) {
-        state.latest_known = version;
-        state.latest_size = digest ? sig.total_bytes() : content.size();
-        state.latest_crc = crc;
-        state.owner_client = std::move(owner);
-      }
+      files_.try_emplace(head.key, head.id, head.key)
+          .first->second.observe(
+              {ClaimSource::kUpdate, owner, /*serial=*/0, version, crc,
+               digest ? sig.total_bytes() : content.size()});
       // A refused put (over budget) is the cache's normal best-effort
       // behaviour, not a replay failure.
       if (digest) {
@@ -1698,7 +1588,7 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
       cache_.erase(key);
       auto it = files_.find(key);
-      if (it != files_.end()) it->second.latest_known = 0;
+      if (it != files_.end()) it->second.observe({ClaimSource::kEvicted, {}});
       return Status();
     }
     case persist::RecordType::kJobSubmitted: {
@@ -1709,12 +1599,8 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       for (const auto& ref : job.files) {
         FileState& state = file_state(ref.file);
         job.input_keys.push_back(state.cache_key);
-        if (ref.version > state.latest_known) {
-          state.latest_known = ref.version;
-          state.latest_crc = ref.crc;
-          state.owner_client = job.client_name;
-        }
-        if (state.owner_client.empty()) state.owner_client = job.client_name;
+        state.observe({ClaimSource::kSubmit, job.client_name, /*serial=*/0,
+                       ref.version, ref.crc});
       }
       queue_.restore_record(std::move(job));
       return Status();
@@ -1983,7 +1869,7 @@ Status ShadowServer::check_job_indexes() const {
       const PullTable::Want* want = pulls_.wanted(key);
       const bool held_back =
           pulls_.asked(key) != 0
-              ? !has_client(state.owner_client)
+              ? !has_client(state.owner())
               : want != nullptr && (want->need_bytes ||
                                     pull_needed(state, false, materialize));
       if (!held_back) {
@@ -2023,7 +1909,6 @@ void ShadowServer::evict_file(const naming::GlobalFileId& id) {
   cache_.erase(key);
   pinned_.erase(key);
   touch_file(key);
-  persist_eviction(key);
 }
 
 }  // namespace shadow::server

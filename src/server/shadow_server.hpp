@@ -24,6 +24,7 @@
 #include "persist/durable_store.hpp"
 #include "proto/messages.hpp"
 #include "proto/session.hpp"
+#include "server/file_state.hpp"
 #include "server/load_monitor.hpp"
 #include "server/pull_table.hpp"
 #include "sim/simulator.hpp"
@@ -52,15 +53,11 @@ struct ServerConfig {
   std::size_t max_outstanding_pulls = 4;
   /// Cache job outputs and ship output deltas on re-runs (§8.3).
   bool reverse_shadow = false;
-  diff::Algorithm output_delta_algo = diff::Algorithm::kHuntMcIlroy;
   /// Compression applied to outbound JobOutput payloads (§8.3).
   compress::Codec output_codec = compress::Codec::kStored;
   /// Abstract executor ops per second of simulated CPU.
   double cpu_ops_per_second = 50e6;
   std::size_t max_concurrent_jobs = 4;
-  /// Admission control: queued+waiting+running jobs above this are
-  /// REJECTED at submit (SubmitReply.accepted = false). 0 = unlimited.
-  std::size_t max_queued_jobs = 0;
   /// Load-average-based deferral (§5.2 / §3 adaptability). Disabled by
   /// default (high_water <= 0).
   LoadMonitorConfig load;
@@ -113,15 +110,16 @@ struct ServerStats {
   u64 digest_advances = 0;  // signatures advanced without content bytes
   u64 digest_advance_failures = 0;  // stale/failed advances (full re-pull)
   u64 jobs_submitted = 0;
-  u64 jobs_rejected = 0;  // admission control refusals
   u64 jobs_completed = 0;
   u64 jobs_failed = 0;
   u64 outputs_sent = 0;
   u64 output_bytes = 0;     // JobOutput payload bytes sent
   u64 output_delta_hits = 0;  // reverse-shadow deltas shipped
   u64 unsolicited_updates = 0;  // request-driven clients pushing
+  u64 stale_updates_dropped = 0;  // answers older than the cached copy
   u64 deferred_by_load = 0;   // pulls/starts postponed by the load monitor
   u64 session_resyncs = 0;    // desyncs detected by the reliable session
+  u64 malformed_dropped = 0;  // frames that did not decode
   u64 journal_appends = 0;    // durable mutation records written
   u64 journal_failures = 0;   // appends/compactions the storage refused
   u64 acks_deferred = 0;      // gating acks parked behind a commit batch
@@ -158,15 +156,16 @@ inline constexpr ServerStatsField kServerStatsFields[] = {
     {"server.digest_advances", &ServerStats::digest_advances},
     {"server.digest_advance_failures", &ServerStats::digest_advance_failures},
     {"server.jobs_submitted", &ServerStats::jobs_submitted},
-    {"server.jobs_rejected", &ServerStats::jobs_rejected},
     {"server.jobs_completed", &ServerStats::jobs_completed},
     {"server.jobs_failed", &ServerStats::jobs_failed},
     {"server.outputs_sent", &ServerStats::outputs_sent},
     {"server.output_bytes", &ServerStats::output_bytes},
     {"server.output_delta_hits", &ServerStats::output_delta_hits},
     {"server.unsolicited_updates", &ServerStats::unsolicited_updates},
+    {"server.stale_updates_dropped", &ServerStats::stale_updates_dropped},
     {"server.deferred_by_load", &ServerStats::deferred_by_load},
     {"server.session_resyncs", &ServerStats::session_resyncs},
+    {"server.malformed_dropped", &ServerStats::malformed_dropped},
     {"server.journal_appends", &ServerStats::journal_appends},
     {"server.journal_failures", &ServerStats::journal_failures},
     {"server.acks_deferred", &ServerStats::acks_deferred},
@@ -232,10 +231,9 @@ class ShadowServer {
     return clients_.count(client_name) != 0;
   }
 
-  /// Deliver a message to a locally connected client (the receiving half
-  /// of the peer-router hook; runs on this shard's thread).
-  void deliver_to_client(const std::string& client_name,
-                         const proto::Message& m);
+  /// Send to a client connected here; one connected elsewhere is offered
+  /// to the peer router (the receiving shard calls this on its thread).
+  void send_to(const std::string& client_name, const proto::Message& m);
 
   /// Feed one already-received wire message through the normal dispatch
   /// path on behalf of `transport` (which must be attach()ed). The
@@ -250,7 +248,8 @@ class ShadowServer {
   const job::JobQueue& jobs() const { return queue_; }
   naming::DomainMap& domains() { return domains_; }
 
-  /// Failure injection for tests: drop a cached file as if evicted.
+  /// Failure injection for tests: drop a cached file as the budget would
+  /// (not journaled: a replay may restore that version's bytes).
   void evict_file(const naming::GlobalFileId& id);
 
   /// Recompute the job queue's indexes, the scheduler's bookkeeping and the
@@ -365,16 +364,6 @@ class ShadowServer {
     bool doomed = false;
   };
 
-  /// Per-file server-side knowledge.
-  struct FileState {
-    naming::GlobalFileId id;
-    std::string cache_key;
-    u64 latest_known = 0;  // newest version any client announced
-    u64 latest_size = 0;
-    u32 latest_crc = 0;
-    std::string owner_client;  // client that serves pulls for this file
-  };
-
   void on_message(Connection* conn, Bytes wire);
   void handle(Connection* conn, const proto::Hello& m);
   void handle(Connection* conn, const proto::NotifyNewVersion& m);
@@ -409,12 +398,12 @@ class ShadowServer {
   /// The base is unusable: ask the client for the whole version (§5.1).
   void repull_full(Connection* conn, FileState& state, const proto::Update& m);
 
-  void send_to(const std::string& client_name, const proto::Message& m);
   void send(Connection* conn, const proto::Message& m);
 
   FileState& file_state(const naming::GlobalFileId& id);
-  /// A new owner (or a restarted client) announced different content:
-  /// per-client version numbers restart, so forget the file's history.
+  /// FileState::observe() found the file's numbering restarted (a new
+  /// owner, or a restarted client): drop the cached copy, journaling the
+  /// drop, and the pull in flight.
   void restart_history(FileState& state);
   /// The pulls in flight to `client` were lost with its connection or
   /// session: want them again (held for its Hello if it has no connection).
@@ -524,10 +513,6 @@ class ShadowServer {
   /// under the same client name (deferred acks may outlive a detach).
   void send_if_attached(u64 serial, const std::string& client_name,
                         const proto::Message& m);
-  /// Non-gating eviction record (losing it costs a re-pull, not
-  /// correctness).
-  void persist_eviction(const std::string& cache_key);
-
   /// Replay one journal record over the current state; all replays are
   /// idempotent so records older than the snapshot are harmless.
   Status replay_record(const persist::JournalRecord& record);

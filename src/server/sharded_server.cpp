@@ -16,11 +16,8 @@ constexpr int kServeRoundMs = 50;  // serve()'s longest wait per round
 }  // namespace
 
 ShardedServer::ShardedServer(ServerConfig base, std::size_t shard_count,
-                             std::vector<persist::DurableStore*> stores,
-                             sim::Simulator* simulator)
-    : base_(std::move(base)),
-      router_(shard_count),
-      sim_(simulator) {
+                             std::vector<persist::DurableStore*> stores)
+    : base_(std::move(base)), router_(shard_count) {
   // The lobby reads raw protocol frames to route; a reliable session
   // would wrap them in channel frames it cannot peek through.
   base_.reliable_session = false;
@@ -34,7 +31,7 @@ ShardedServer::ShardedServer(ServerConfig base, std::size_t shard_count,
         n > 1 ? "shard" + std::to_string(i) + "." : std::string();
     persist::DurableStore* store =
         i < stores.size() ? stores[i] : nullptr;
-    auto shard = std::make_unique<ShadowServer>(cfg, sim_, store);
+    auto shard = std::make_unique<ShadowServer>(cfg, nullptr, store);
     shard->set_peer_router(
         [this, i](const std::string& client, const proto::Message& m) {
           return route_to_peer(i, client, m);
@@ -81,12 +78,11 @@ bool ShardedServer::route_to_peer(std::size_t from_shard,
   if (target == from_shard) return false;  // send_to already missed here
   if (target < loops_.size() && !threads_.empty()) {
     // Hop to the client's home loop; the send happens on its thread.
-    proto::Message copy = m;
-    loops_[target]->post([this, target, client_name, copy = std::move(copy)] {
-      shards_[target]->deliver_to_client(client_name, copy);
+    loops_[target]->post([this, target, client_name, m] {
+      shards_[target]->send_to(client_name, m);
     });
   } else {
-    shards_[target]->deliver_to_client(client_name, m);
+    shards_[target]->send_to(client_name, m);
   }
   return true;
 }
@@ -103,6 +99,7 @@ void ShardedServer::route_first_message(net::Transport* transport,
                                         const Bytes& wire) {
   auto decoded = proto::decode_message(wire);
   if (!decoded.ok()) {
+    ++lobby_malformed_;
     SHADOW_WARN() << base_.name << ": lobby dropping malformed message: "
                   << decoded.error().to_string();
     return;
@@ -165,7 +162,7 @@ bool ShardedServer::drain_complete() {
 // ---- threaded mode ----
 
 void ShardedServer::start_threads() {
-  if (!threads_.empty() || sim_ != nullptr) return;
+  if (!threads_.empty()) return;
   const std::size_t n = shards_.size();
   loops_.clear();
   loops_.reserve(n);
@@ -262,6 +259,7 @@ std::size_t ShardedServer::poll_lobby() {
     }
     auto decoded = proto::decode_message(conn.inbox.front());
     if (!decoded.ok()) {
+      ++lobby_malformed_;
       SHADOW_WARN() << base_.name << ": lobby dropping malformed message: "
                     << decoded.error().to_string();
       conn.inbox.erase(conn.inbox.begin());
@@ -368,19 +366,14 @@ ServerStats ShardedServer::aggregate_stats() {
   });
   ServerStats total;
   for (const auto& copy : copies) total += copy;
+  total.malformed_dropped += lobby_malformed_.load();
   return total;
 }
 
 void ShardedServer::sync_telemetry() {
-  // Each shard refreshes its shard<i>.-prefixed mirror on its own thread;
-  // aggregate_stats() rides the same hop for the per-shard copies.
-  std::vector<ServerStats> copies(shards_.size());
-  on_every_shard([this, &copies](std::size_t i) {
-    shards_[i]->sync_telemetry();
-    copies[i] = shards_[i]->stats();
-  });
-  ServerStats total;
-  for (const auto& copy : copies) total += copy;
+  // Each shard refreshes its shard<i>.-prefixed mirror on its own thread.
+  on_every_shard([this](std::size_t i) { shards_[i]->sync_telemetry(); });
+  const ServerStats total = aggregate_stats();
 
   auto& r = telemetry::Registry::global();
   // The plain names shadowtop has always shown carry the fleet-wide sums;

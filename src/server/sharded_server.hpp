@@ -14,9 +14,7 @@
 //
 // Two run modes share all of the routing logic:
 //   * INLINE (threaded == false): everything on the caller's thread —
-//     loopback/Sim transports, tests, benchmarks. Deterministic; the only
-//     mode allowed with a Simulator (ROADMAP: sim runs stay pinned to a
-//     single loop).
+//     loopback transports, tests, benchmarks. Deterministic.
 //   * THREADED (threaded == true): one net::EventLoop + std::thread per
 //     shard; the acceptor thread runs serve() — accept plus the lobby —
 //     and hands routed sockets over with EventLoop::adopt(). This is
@@ -44,20 +42,17 @@
 #include "proto/messages.hpp"
 #include "server/shadow_server.hpp"
 #include "server/shard_router.hpp"
-#include "sim/simulator.hpp"
 
 namespace shadow::server {
 
 class ShardedServer {
  public:
   /// `stores` is empty (no durability) or one DurableStore per shard, all
-  /// outliving the facade. `simulator` forces inline mode. The base
-  /// config's reliable_session must be false (the lobby peeks at raw
-  /// frames); shard_id/shard_count/telemetry_prefix are overwritten per
-  /// shard.
+  /// outliving the facade. The base config's reliable_session must be
+  /// false (the lobby peeks at raw frames); shard_id/shard_count/
+  /// telemetry_prefix are overwritten per shard.
   ShardedServer(ServerConfig base, std::size_t shard_count,
-                std::vector<persist::DurableStore*> stores = {},
-                sim::Simulator* simulator = nullptr);
+                std::vector<persist::DurableStore*> stores = {});
   ~ShardedServer();
 
   ShardedServer(const ShardedServer&) = delete;
@@ -88,8 +83,7 @@ class ShardedServer {
 
   // ---- threaded mode ----
 
-  /// Spawn one event loop thread per shard. No-op if already running or
-  /// if a simulator was supplied.
+  /// Spawn one event loop thread per shard. No-op if already running.
   void start_threads();
   /// Stop and join all loop threads (idempotent; also run by ~ShardedServer).
   void stop_threads();
@@ -117,9 +111,9 @@ class ShardedServer {
   /// connection in transit is never missed; used for --once.
   std::size_t live_connections() const;
 
-  /// Sum of per-shard ServerStats. Inline: reads shards directly.
-  /// Threaded: each shard copies its stats on its own thread (bounded
-  /// wait), so the result is a consistent-per-shard sum.
+  /// Sum of per-shard ServerStats (plus the lobby's malformed frames).
+  /// Inline: reads shards directly. Threaded: each shard copies its stats
+  /// on its own thread (bounded wait): a consistent-per-shard sum.
   ServerStats aggregate_stats();
 
   /// Refresh telemetry: each shard mirrors its stats under its shard<i>.
@@ -163,8 +157,8 @@ class ShardedServer {
 
   ServerConfig base_;
   ShardRouter router_;
-  sim::Simulator* sim_;
   std::atomic<bool> draining_{false};  // set by begin_drain (any thread)
+  std::atomic<u64> lobby_malformed_{0};  // first frames that did not decode
   std::vector<std::unique_ptr<ShadowServer>> shards_;
   std::vector<std::unique_ptr<net::EventLoop>> loops_;  // threaded mode
   std::vector<std::thread> threads_;

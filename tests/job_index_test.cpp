@@ -1,18 +1,23 @@
 // The job scheduler's indexes under random load. After every step of a
-// random run (submit, resubmit, notify, update, pull answers, output acks,
-// job finishes, disconnects, evictions, snapshot restores and journal
+// random run (submit, resubmit, notify, update, pull answers in order or
+// newest first, output acks, job finishes, disconnects, client restarts
+// that renumber their versions, evictions, snapshot restores and journal
 // replays) the queue's active ids, input readers, ready set and submission
 // index, the scheduler's visit bookkeeping and the pull table must agree
 // with what the job map, the cache and the file table imply
 // (ShadowServer::check_job_indexes).
 // Each run ends with every client connected and answering: every job must
-// then finish.
+// then finish, and every finished job's output must be its command run on
+// the bytes its file references name (that version, or a newer one of the
+// same numbering: a job may run on newer bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compress/compress.hpp"
@@ -43,9 +48,12 @@ naming::GlobalFileId file_id(u64 n) {
 
 std::string owner_of(u64 file) { return "ws" + std::to_string(file % 2); }
 
-std::string content_of(u64 file, u64 version) {
+/// Version `version` of `file` in the owner's `epoch`-th numbering (each
+/// client restart starts a new one).
+std::string content_of(u64 file, u64 version, u64 epoch) {
   return "file " + std::to_string(file) + " v" + std::to_string(version) +
-         "\n" + std::string(30 * (file + 1), static_cast<char>('a' + version % 26)) +
+         (epoch == 0 ? "" : " e" + std::to_string(epoch)) + "\n" +
+         std::string(30 * (file + 1), static_cast<char>('a' + version % 26)) +
          "\n";
 }
 
@@ -128,7 +136,8 @@ class Rig {
       ref.file = file_id(files[i]);
       ref.local_name = "in" + std::to_string(i);
       ref.version = versions_.at(files[i]);
-      ref.crc = crc_of(content_of(files[i], ref.version));
+      ref.crc = crc_of(content(files[i], ref.version));
+      named_[ref.crc] = {files[i], ref.version, epochs_[owner_of(files[i])]};
       submit.files.push_back(ref);
       submit.command_file += " " + ref.local_name;
     }
@@ -141,31 +150,46 @@ class Rig {
   /// Announce a new version, even while a pull for an older one is in
   /// flight (the newer pull then replaces it in the file's one slot).
   void notify(u64 file) {
-    const u64 v = ++versions_[file];
-    proto::NotifyNewVersion n;
-    n.file = file_id(file);
-    n.version = v;
-    const std::string content = content_of(file, v);
-    n.size = content.size();
-    n.crc = crc_of(content);
-    send(owner_of(file), n);
+    ++versions_[file];
+    announce(file);
   }
 
-  void push_update(u64 file) {
-    proto::Update u;
-    u.file = file_id(file);
-    u.base_version = 0;
-    u.new_version = versions_.at(file);
-    u.payload = full_payload(content_of(file, u.new_version));
-    send(owner_of(file), u);
+  void push_update(u64 file) { push_version(file, versions_.at(file)); }
+
+  /// The client's process restarts: a new connection, and its numbering
+  /// starts again at 1 with other content. With background updates on it
+  /// announces its files at once; off, the server learns of them from its
+  /// next submit or push.
+  void restart(const std::string& name, bool background_updates) {
+    disconnect(name);
+    connect(name);
+    for (auto& [file, version] : versions_) {
+      if (owner_of(file) != name) continue;
+      newest_[{file, epochs_[name]}] = version;
+    }
+    ++epochs_[name];
+    for (auto& [file, version] : versions_) {
+      if (owner_of(file) != name) continue;
+      version = 1;
+      if (background_updates) announce(file);
+    }
+  }
+
+  bool has_active_jobs(const std::string& name) const {
+    for (const u64 id : server_->jobs().active_ids()) {
+      if (server_->jobs().find(id).value()->client_name == name) return true;
+    }
+    return false;
   }
 
   /// Answer the pulls `name` has received (all, or a random part), ack
-  /// its outputs.
-  void answer(const std::string& name, Rng* rng) {
+  /// its outputs. Newest first, every pull is answered with the version it
+  /// asked for, so a late answer can follow a newer one.
+  void answer(const std::string& name, Rng* rng, bool newest_first = false) {
     if (!connected(name)) return;
     std::vector<proto::Message> inbox;
     inbox.swap(clients_.at(name)->inbox);
+    if (newest_first) std::reverse(inbox.begin(), inbox.end());
     for (const auto& m : inbox) {
       if (rng != nullptr && rng->chance(0.3)) {
         clients_.at(name)->inbox.push_back(m);  // not yet
@@ -173,7 +197,10 @@ class Rig {
       }
       if (const auto* pull = std::get_if<proto::PullRequest>(&m)) {
         for (u64 f = 0; f < kFiles; ++f) {
-          if (file_id(f) == pull->file) push_update(f);
+          if (file_id(f) != pull->file) continue;
+          push_version(f, newest_first ? std::min(pull->want_version,
+                                                  versions_.at(f))
+                                       : versions_.at(f));
         }
       } else if (const auto* out = std::get_if<proto::JobOutput>(&m)) {
         proto::JobOutputAck ack;
@@ -181,6 +208,38 @@ class Rig {
         send(name, ack);
       }
       if (!connected(name)) return;
+    }
+  }
+
+  /// Every finished job's output is `cat` over, for each input, the bytes
+  /// of the version its reference names or a newer one of the same
+  /// numbering.
+  void check_outputs() const {
+    for (const auto& [id, record] : server_->jobs().all()) {
+      if (record.exit_code != 0 ||
+          (record.state != proto::JobState::kCompleted &&
+           record.state != proto::JobState::kDelivered)) {
+        continue;
+      }
+      std::string_view out = record.output_content;
+      for (const auto& ref : record.files) {
+        const auto named = named_.find(ref.crc);
+        ASSERT_NE(named, named_.end()) << "job " << id;
+        const auto [file, version, epoch] = named->second;
+        const u64 newest = epoch == epochs_.at(owner_of(file))
+                               ? versions_.at(file)
+                               : newest_.at({file, epoch});
+        bool matched = false;
+        for (u64 v = version; !matched && v <= newest; ++v) {
+          const std::string bytes = content_of(file, v, epoch);
+          matched = out.substr(0, bytes.size()) == bytes;
+          if (matched) out.remove_prefix(bytes.size());
+        }
+        ASSERT_TRUE(matched) << "job " << id << " read " << ref.local_name
+                             << " from other bytes than v" << version
+                             << " (or newer) of numbering " << epoch;
+      }
+      EXPECT_TRUE(out.empty()) << "job " << id;
     }
   }
 
@@ -195,6 +254,29 @@ class Rig {
   }
 
  private:
+  std::string content(u64 file, u64 version) const {
+    return content_of(file, version, epochs_.at(owner_of(file)));
+  }
+
+  void announce(u64 file) {
+    proto::NotifyNewVersion n;
+    n.file = file_id(file);
+    n.version = versions_.at(file);
+    const std::string bytes = content(file, n.version);
+    n.size = bytes.size();
+    n.crc = crc_of(bytes);
+    send(owner_of(file), n);
+  }
+
+  void push_version(u64 file, u64 version) {
+    proto::Update u;
+    u.file = file_id(file);
+    u.base_version = 0;
+    u.new_version = version;
+    u.payload = full_payload(content(file, version));
+    send(owner_of(file), u);
+  }
+
   void boot(bool recover) {
     server_.reset();
     store_.reset();
@@ -220,6 +302,13 @@ class Rig {
   std::vector<u64> outputs_;
   std::map<u64, u64> versions_ = {{0, 1}, {1, 1}, {2, 1},
                                   {3, 1}, {4, 1}, {5, 1}};
+  std::map<std::string, u64> epochs_ = {{"ws0", 0}, {"ws1", 0}};
+  struct Named {
+    u64 file, version, epoch;
+  };
+  std::map<u32, Named> named_;  // submitted CRC -> the bytes it names
+  /// (file, numbering) -> its last version, for numberings a restart ended.
+  std::map<std::pair<u64, u64>, u64> newest_;
 };
 
 #define EXPECT_INDEXES_HOLD(rig, step)                                  \
@@ -281,6 +370,10 @@ void random_run(u64 seed, bool simulated, bool durable) {
                            << st.to_string();
     } else if (op < 95 && durable) {
       rig.crash_and_recover();
+    } else if (op < 97 && !rig.has_active_jobs(name)) {
+      rig.restart(name, /*background_updates=*/rng.chance(0.5));
+    } else if (op >= 97) {
+      rig.answer(name, nullptr, /*newest_first=*/true);
     }
     EXPECT_INDEXES_HOLD(rig, step);
   }
@@ -296,6 +389,7 @@ void random_run(u64 seed, bool simulated, bool durable) {
     EXPECT_INDEXES_HOLD(rig, 1000 + round);
   }
   EXPECT_EQ(rig.server().jobs().active_count(), 0u) << "seed " << seed;
+  rig.check_outputs();
 }
 
 TEST(JobIndexTest, RandomLiveRunsKeepIndexesExact) {

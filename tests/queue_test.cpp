@@ -91,19 +91,6 @@ TEST(JobQueueTest, StatusForClientFiltersOwnership) {
   EXPECT_TRUE(queue.status_for_client("carol").empty());
 }
 
-TEST(JobQueueTest, NextSchedulableFifo) {
-  JobQueue queue;
-  const u64 a = queue.add(sample());
-  const u64 b = queue.add(sample());
-  EXPECT_EQ(queue.next_schedulable()->job_id, a);
-  ASSERT_TRUE(queue.transition(a, proto::JobState::kRunning).ok());
-  EXPECT_EQ(queue.next_schedulable()->job_id, b);
-  ASSERT_TRUE(queue.transition(b, proto::JobState::kWaitingFiles).ok());
-  EXPECT_EQ(queue.next_schedulable()->job_id, b);  // waiting still counts
-  ASSERT_TRUE(queue.transition(b, proto::JobState::kRunning).ok());
-  EXPECT_EQ(queue.next_schedulable(), nullptr);
-}
-
 TEST(JobQueueTest, ActiveCount) {
   JobQueue queue;
   const u64 a = queue.add(sample());

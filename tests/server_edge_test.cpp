@@ -9,6 +9,8 @@
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
 #include "net/loopback.hpp"
+#include "persist/durable_store.hpp"
+#include "persist/storage.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "proto/session.hpp"
@@ -39,9 +41,10 @@ class ServerEdgeTest : public ::testing::Test {
  protected:
   void SetUp() override { start(proto::kAllCodecs); }
 
-  void start(u32 hello_codecs, ServerConfig sc = ServerConfig{}) {
+  void start(u32 hello_codecs, ServerConfig sc = ServerConfig{},
+             persist::DurableStore* store = nullptr) {
     sc.name = "super";
-    server_ = std::make_unique<ShadowServer>(sc);
+    server_ = std::make_unique<ShadowServer>(sc, nullptr, store);
     pair_ = net::make_loopback_pair("ws", "super");
     server_->attach(pair_.b.get());
     // Capture everything the server sends back.
@@ -428,50 +431,50 @@ TEST_P(UpdateContractTest, CrcMismatchWithNotifyNackedOnceThenFullResendAcked) {
   EXPECT_EQ(outstanding_pulls_gauge(), 0.0);
 }
 
-TEST(AdmissionControlTest, QueueFullRejectsAndClientSeesFailure) {
-  core::ShadowSystem system;
-  server::ServerConfig sc;
+// overload.max_active_jobs is the server's one job-count budget. A legacy
+// (v0) client predates ServerBusy, so a submit over the budget is refused
+// the old way: a SubmitReply with accepted = false and the reason.
+TEST(AdmissionControlTest, LegacyClientOverJobBudgetGetsRefusingReply) {
+  ServerConfig sc;
   sc.name = "super";
-  sc.max_queued_jobs = 2;
-  sc.max_concurrent_jobs = 1;
-  sc.cpu_ops_per_second = 1e3;  // slow: jobs stay active a long time
-  system.add_server(sc);
-  system.add_client("ws");
-  system.connect("ws", "super", sim::LinkConfig::cypress_9600());
-  system.settle();
+  sc.overload.max_active_jobs = 1;
+  ShadowServer server(sc);
+  auto pair = net::make_loopback_pair("ws", "super");
+  std::vector<proto::Message> inbox;
+  pair.a->set_receiver([&](Bytes wire) {
+    auto m = proto::decode_message(wire);
+    if (m.ok()) inbox.push_back(std::move(m).take());
+  });
+  server.attach(pair.b.get());
+  proto::Hello hello{"ws", "net-x"};
+  hello.protocol_version = 0;
+  ASSERT_TRUE(pair.a->send(proto::encode_message(hello)).ok());
 
-  auto& client = system.client("ws");
-  std::vector<u64> tokens;
-  for (int i = 0; i < 4; ++i) {
-    client::ShadowClient::SubmitOptions job;
-    job.command_file = "burn 1000000\necho ok\n";
-    job.output_path = "/home/user/o" + std::to_string(i);
-    job.error_path = "/home/user/e" + std::to_string(i);
-    auto token = client.submit(job);
-    ASSERT_TRUE(token.ok());
-    tokens.push_back(token.value());
-    // Let the submit reach the server before the next one.
-    system.simulator().run_until(system.simulator().now() +
-                                 sim::from_seconds(2));
-  }
-  system.settle();
+  // Job 1 waits for a version that never arrives, holding the budget.
+  proto::SubmitJob waiting;
+  waiting.client_job_token = 1;
+  waiting.command_file = "wc f\n";
+  proto::JobFileRef ref;
+  ref.file = file_id(1);
+  ref.local_name = "f";
+  ref.version = 1'000'000;
+  waiting.files.push_back(ref);
+  ASSERT_TRUE(pair.a->send(proto::encode_message(waiting)).ok());
+  net::pump(pair);
 
-  const auto& stats = system.server("super").stats();
-  EXPECT_EQ(stats.jobs_rejected, 2u);
-  EXPECT_EQ(stats.jobs_completed, 2u);
-  // The client's view: two delivered, two refused (kFailed with reason).
-  int failed = 0;
-  int delivered = 0;
-  for (u64 token : tokens) {
-    const auto& view = client.jobs().at(token);
-    if (view.state == proto::JobState::kFailed) {
-      ++failed;
-      EXPECT_NE(view.detail.find("queue full"), std::string::npos);
-    }
-    if (view.output_received) ++delivered;
-  }
-  EXPECT_EQ(failed, 2);
-  EXPECT_EQ(delivered, 2);
+  proto::SubmitJob extra = waiting;
+  extra.client_job_token = 2;
+  inbox.clear();
+  ASSERT_TRUE(pair.a->send(proto::encode_message(extra)).ok());
+  net::pump(pair);
+  EXPECT_EQ(server.stats().busy_rejects, 1u);
+  ASSERT_EQ(inbox.size(), 1u);
+  const auto* reply = std::get_if<proto::SubmitReply>(&inbox[0]);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->client_job_token, 2u);
+  EXPECT_FALSE(reply->accepted);
+  EXPECT_EQ(reply->reason, "job backlog (active jobs over budget)");
+  EXPECT_EQ(server.jobs().active_count(), 1u);
 }
 
 TEST_F(ServerEdgeTest, PullCapRespectedAcrossManyNotifies) {
@@ -626,6 +629,64 @@ TEST_F(ServerEdgeTest, OverlappingPullsHoldOneSlot) {
     received_.clear();
     notify(2, 1, "other\n");
     EXPECT_EQ(count_of<proto::PullRequest>(), 1u) << "cap " << cap;
+  }
+}
+
+// v2's answer overtakes v1's on one connection. The late v1 answer is
+// dropped: the cache, the journal and the acked version all stay at v2.
+// Answers that arrive oldest first are each cached and acked, as before.
+TEST_F(ServerEdgeTest, LateAnswerToAnOlderPullIsDropped) {
+  auto notify = [this](u64 version, const std::string& content) {
+    proto::NotifyNewVersion n;
+    n.file = file_id(1);
+    n.version = version;
+    n.size = content.size();
+    n.crc = crc32(reinterpret_cast<const u8*>(content.data()), content.size());
+    send(n);
+    pump();
+  };
+  auto answer = [this](u64 version, const std::string& content) {
+    proto::Update update;
+    update.file = file_id(1);
+    update.new_version = version;
+    update.payload = pack_delta(diff::Delta::make_full(content));
+    send(update);
+    pump();
+  };
+  for (const bool newest_first : {true, false}) {
+    persist::MemDir disk;
+    persist::DurableStore store(&disk);
+    start(proto::kAllCodecs, ServerConfig{}, &store);
+    notify(1, "one\n");
+    notify(2, "two\n");
+    answer(newest_first ? 2 : 1, newest_first ? "two\n" : "one\n");
+    answer(newest_first ? 1 : 2, newest_first ? "one\n" : "two\n");
+    const std::string key = server_->domains().cache_key(file_id(1));
+    const auto* entry = server_->file_cache().peek(key);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->version, 2u) << newest_first;
+    EXPECT_EQ(entry->content, "two\n") << newest_first;
+    std::vector<u64> acked;
+    for (const auto& m : received_) {
+      if (const auto* ack = std::get_if<proto::UpdateAck>(&m)) {
+        EXPECT_TRUE(ack->ok);
+        acked.push_back(ack->version);
+      }
+    }
+    const std::vector<u64> expected_acks =
+        newest_first ? std::vector<u64>{2} : std::vector<u64>{1, 2};
+    EXPECT_EQ(acked, expected_acks);
+    EXPECT_EQ(server_->stats().stale_updates_dropped, newest_first ? 1u : 0u);
+
+    // The journal replays to v2 as well.
+    server_.reset();
+    persist::DurableStore reopened(&disk);
+    ShadowServer recovered(ServerConfig{}, nullptr, &reopened);
+    ASSERT_TRUE(recovered.recover_from_storage().ok());
+    const auto* replayed = recovered.file_cache().peek(key);
+    ASSERT_NE(replayed, nullptr);
+    EXPECT_EQ(replayed->version, 2u) << newest_first;
+    received_.clear();
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -350,6 +351,10 @@ TEST(ShardedServerTest, EveryStatAndCounterSumsOverShards) {
     quiesce();
     EXPECT_TRUE(clients[i]->job_done(token.value())) << names[i];
   }
+  // One frame that does not decode, on shard 1 only.
+  ASSERT_TRUE(pairs[1].a->send(Bytes{0xFF, 0xEE, 0xDD}).ok());
+  quiesce();
+  EXPECT_EQ(sharded.shard(1).stats().malformed_dropped, 1u);
 
   // ServerStats: the aggregate is the field-by-field sum. The list below
   // is this test's own, independent of the server's counter table; the
@@ -376,15 +381,16 @@ TEST(ShardedServerTest, EveryStatAndCounterSumsOverShards) {
   EXPECT_SUMMED(digest_advances);
   EXPECT_SUMMED(digest_advance_failures);
   EXPECT_SUMMED(jobs_submitted);
-  EXPECT_SUMMED(jobs_rejected);
   EXPECT_SUMMED(jobs_completed);
   EXPECT_SUMMED(jobs_failed);
   EXPECT_SUMMED(outputs_sent);
   EXPECT_SUMMED(output_bytes);
   EXPECT_SUMMED(output_delta_hits);
   EXPECT_SUMMED(unsolicited_updates);
+  EXPECT_SUMMED(stale_updates_dropped);
   EXPECT_SUMMED(deferred_by_load);
   EXPECT_SUMMED(session_resyncs);
+  EXPECT_SUMMED(malformed_dropped);
   EXPECT_SUMMED(journal_appends);
   EXPECT_SUMMED(journal_failures);
   EXPECT_SUMMED(acks_deferred);
@@ -399,9 +405,9 @@ TEST(ShardedServerTest, EveryStatAndCounterSumsOverShards) {
   EXPECT_SUMMED(heartbeats_received);
   EXPECT_SUMMED(drain_notices);
 #undef EXPECT_SUMMED
-  static_assert(sizeof(ServerStats) == 33 * sizeof(u64),
+  static_assert(sizeof(ServerStats) == 34 * sizeof(u64),
                 "list the new ServerStats field above");
-  EXPECT_EQ(checked, 33u);
+  EXPECT_EQ(checked, 34u);
   // The traffic really reached both shards and both CDC paths.
   for (std::size_t i = 0; i < kTwo; ++i) {
     EXPECT_GT(sharded.shard(i).stats().cdc_transfers, 0u) << "shard " << i;
@@ -410,22 +416,50 @@ TEST(ShardedServerTest, EveryStatAndCounterSumsOverShards) {
     EXPECT_GT(sharded.shard(i).stats().jobs_completed, 0u) << "shard " << i;
   }
 
-  // Registry: every counter a shard publishes has a plain aggregate equal
-  // to the sum of its shard<i>. values.
+  // Registry: every counter either shard publishes has a plain aggregate
+  // equal to the sum of its shard<i>. values.
   sharded.sync_telemetry();
   const auto snapshot = telemetry::Registry::global().snapshot();
   std::map<std::string, u64> counters;
   for (const auto& c : snapshot.counters) counters[c.name] = c.value;
-  std::size_t shard_counters = 0;
+  std::set<std::string> plains;
   for (const auto& [name, value] : counters) {
-    if (name.rfind("shard0.", 0) != 0) continue;
-    const std::string plain = name.substr(std::string("shard0.").size());
-    ++shard_counters;
+    for (const char* prefix : {"shard0.", "shard1."}) {
+      if (name.rfind(prefix, 0) == 0) plains.insert(name.substr(7));
+    }
+  }
+  for (const auto& plain : plains) {
+    ASSERT_TRUE(counters.count("shard0." + plain)) << plain;
     ASSERT_TRUE(counters.count("shard1." + plain)) << plain;
     ASSERT_TRUE(counters.count(plain)) << plain << " has no plain aggregate";
-    EXPECT_EQ(counters[plain], value + counters["shard1." + plain]) << plain;
+    EXPECT_EQ(counters[plain],
+              counters["shard0." + plain] + counters["shard1." + plain])
+        << plain;
   }
-  EXPECT_GE(shard_counters, 33u);
+  EXPECT_GE(plains.size(), 34u);
+  EXPECT_EQ(counters["server.malformed_dropped"], 1u);
+  Logger::instance().set_level(saved);
+}
+
+// A connection whose first frame does not decode never reaches a shard;
+// the lobby's drop still counts in the plain server.malformed_dropped.
+TEST(ShardedServerTest, LobbyCountsMalformedFirstFrames) {
+  const LogLevel saved = Logger::instance().level();
+  Logger::instance().set_level(LogLevel::kError);
+  telemetry::Registry::global().reset_values();
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, kShards);
+  auto pair = net::make_loopback_pair("ws", "super");
+  sharded.attach(pair.b.get());
+  ASSERT_TRUE(pair.a->send(Bytes{0xFF, 0xEE, 0xDD}).ok());
+  net::pump(pair);
+  EXPECT_EQ(sharded.aggregate_stats().malformed_dropped, 1u);
+  sharded.sync_telemetry();
+  EXPECT_EQ(telemetry::Registry::global()
+                .counter("server.malformed_dropped")
+                .value(),
+            1u);
   Logger::instance().set_level(saved);
 }
 
